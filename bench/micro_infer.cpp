@@ -167,7 +167,7 @@ void BM_DecodeQuant(benchmark::State& state) {
     }
   }
   nn::quant::set_enabled(true);
-  lm.prequantize();
+  lm.prepack();
   for (auto _ : state) {
     core::LmDecoder decoder(lm);
     for (int id : ids) {

@@ -104,8 +104,8 @@ void BM_MatmulInt8(benchmark::State& state) {
   Rng rng(1);
   nn::Tensor x = nn::Tensor::randn({n, n}, rng, 1.0f, false);
   nn::Tensor w = nn::Tensor::randn({n, n}, rng, 1.0f, false);
-  nn::quant::PackedWeights cache;
-  nn::quant::prepack(w.data().data(), n, n, n, 1, cache);
+  nn::PackedWeights cache;
+  nn::prepack(w.data().data(), n, n, n, 1, cache);
   for (auto _ : state) {
     nn::InferenceGuard guard;
     nn::Tensor y = nn::quant::linear(x, w.data().data(), n, n, n, 1, cache);

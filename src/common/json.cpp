@@ -9,6 +9,7 @@
 #endif
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -100,6 +101,15 @@ struct Parser {
       ++pos;
     if (pos == start) return std::nullopt;
     const std::string token(text.substr(start, pos - start));
+    // Unsigned integer literals stay exact (seeds and ids up to 2^64 - 1);
+    // anything else, or a literal past 2^64 - 1, parses as a double.
+    if (token.find_first_not_of("0123456789") == std::string::npos) {
+      std::uint64_t u = 0;
+      const auto [ptr, ec] =
+          std::from_chars(token.data(), token.data() + token.size(), u);
+      if (ec == std::errc() && ptr == token.data() + token.size())
+        return Value(u);
+    }
     char* end = nullptr;
     const double d = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) return std::nullopt;
@@ -211,6 +221,8 @@ void dump_to(const Value& v, std::string& out, int indent, int depth) {
     out += "null";
   } else if (v.is_bool()) {
     out += v.as_bool() ? "true" : "false";
+  } else if (v.is_uint()) {
+    out += std::to_string(*v.as_uint());
   } else if (v.is_number()) {
     out += number_to_string(v.as_number());
   } else if (v.is_string()) {
@@ -243,6 +255,23 @@ void dump_to(const Value& v, std::string& out, int indent, int depth) {
 }
 
 }  // namespace
+
+double Value::as_number() const {
+  if (const auto* u = std::get_if<std::uint64_t>(&v_))
+    return static_cast<double>(*u);
+  return std::get<double>(v_);
+}
+
+std::optional<std::uint64_t> Value::as_uint() const noexcept {
+  if (const auto* u = std::get_if<std::uint64_t>(&v_)) return *u;
+  const auto* d = std::get_if<double>(&v_);
+  // 2^64 is exact as a double; every integral double below it converts
+  // exactly, and the range check keeps the cast defined.
+  if (d == nullptr || !(*d >= 0.0) || *d >= 18446744073709551616.0 ||
+      *d != std::floor(*d))
+    return std::nullopt;
+  return static_cast<std::uint64_t>(*d);
+}
 
 const Value* Value::find(std::string_view key) const {
   if (!is_object()) return nullptr;

@@ -4,8 +4,10 @@
 // files diff cleanly across runs.
 //
 // Not a general-purpose JSON library: numbers are doubles (integral values
-// within 2^53 print without a fraction), \uXXXX escapes decode the BMP plus
-// surrogate pairs, and there is no streaming — documents are strings.
+// within 2^53 print without a fraction), except that unsigned integer
+// literals and std::uint64_t values are carried exactly up to 2^64 - 1;
+// \uXXXX escapes decode the BMP plus surrogate pairs, and there is no
+// streaming — documents are strings.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +34,7 @@ class Value {
   Value(double d) : v_(d) {}
   Value(int i) : v_(static_cast<double>(i)) {}
   Value(std::int64_t i) : v_(static_cast<double>(i)) {}
-  Value(std::uint64_t u) : v_(static_cast<double>(u)) {}
+  Value(std::uint64_t u) : v_(u) {}
   Value(const char* s) : v_(std::string(s)) {}
   Value(std::string s) : v_(std::move(s)) {}
   Value(Array a) : v_(std::move(a)) {}
@@ -40,13 +42,23 @@ class Value {
 
   bool is_null() const noexcept { return std::holds_alternative<std::nullptr_t>(v_); }
   bool is_bool() const noexcept { return std::holds_alternative<bool>(v_); }
-  bool is_number() const noexcept { return std::holds_alternative<double>(v_); }
+  bool is_number() const noexcept {
+    return std::holds_alternative<double>(v_) ||
+           std::holds_alternative<std::uint64_t>(v_);
+  }
+  /// A number carried as an exact unsigned integer (a digits-only literal
+  /// up to 2^64 - 1, or a std::uint64_t value).
+  bool is_uint() const noexcept { return std::holds_alternative<std::uint64_t>(v_); }
   bool is_string() const noexcept { return std::holds_alternative<std::string>(v_); }
   bool is_array() const noexcept { return std::holds_alternative<Array>(v_); }
   bool is_object() const noexcept { return std::holds_alternative<Object>(v_); }
 
   bool as_bool() const { return std::get<bool>(v_); }
-  double as_number() const { return std::get<double>(v_); }
+  double as_number() const;
+  /// The exact non-negative integer this number holds: an unsigned integer
+  /// literal as written, or an integral double in [0, 2^64). nullopt for
+  /// non-numbers and for negative, fractional or out-of-range values.
+  std::optional<std::uint64_t> as_uint() const noexcept;
   const std::string& as_string() const { return std::get<std::string>(v_); }
   const Array& as_array() const { return std::get<Array>(v_); }
   Array& as_array() { return std::get<Array>(v_); }
@@ -64,7 +76,9 @@ class Value {
   static std::optional<Value> parse(std::string_view text);
 
  private:
-  std::variant<std::nullptr_t, bool, double, std::string, Array, Object> v_;
+  std::variant<std::nullptr_t, bool, double, std::uint64_t, std::string,
+               Array, Object>
+      v_;
 };
 
 /// Escapes and quotes `s` as a JSON string literal.

@@ -566,16 +566,16 @@ bool NetFM::save(const std::string& path) const {
 bool NetFM::load(const std::string& path) {
   nn::ParameterList params = parameters();
   if (!nn::load_parameters_file(path, params)) return false;
-  prequantize();  // re-pack int8 caches against the loaded weights
+  prepack();  // pack weight panels against the loaded weights
   return true;
 }
 
-void NetFM::prequantize() const {
-  encoder_->prequantize();
-  mlm_head_->prequantize();
-  pooler_->prequantize();
-  next_segment_head_->prequantize();
-  if (classifier_) classifier_->prequantize();
+void NetFM::prepack() const {
+  encoder_->prepack();
+  mlm_head_->prepack();
+  pooler_->prepack();
+  next_segment_head_->prepack();
+  if (classifier_) classifier_->prepack();
 }
 
 }  // namespace netfm::core

@@ -175,12 +175,12 @@ class NetFM {
   nn::ParameterList parameters() const;
 
   bool save(const std::string& path) const;
-  /// Loads parameters and (when NETFM_QUANT is on) eagerly re-packs the
-  /// int8 weight caches for the freshly loaded weights.
+  /// Loads parameters and eagerly packs the inference weight panels for the
+  /// freshly loaded weights.
   bool load(const std::string& path);
 
-  /// Eagerly packs all int8 weight caches (no-op when quant is off).
-  void prequantize() const;
+  /// Eagerly packs all inference weight panels (nn/packed.h).
+  void prepack() const;
 
  private:
   /// Shared step loop behind both pretrain overloads. `fetch(step,

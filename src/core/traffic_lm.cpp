@@ -561,9 +561,9 @@ nn::ParameterList TrafficLM::parameters() const {
   return params;
 }
 
-void TrafficLM::prequantize() const {
-  encoder_->prequantize();
-  head_->prequantize();
+void TrafficLM::prepack() const {
+  encoder_->prepack();
+  head_->prepack();
 }
 
 }  // namespace netfm::core

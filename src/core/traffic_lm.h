@@ -65,7 +65,7 @@ class TrafficLM {
 
   /// Same draw through a caller-owned decoder (reset on entry): a pooled
   /// per-session decoder produces the exact tokens a fresh one would, so
-  /// the serving layer can reuse KvCache allocations across requests.
+  /// the serving layer can reuse KV cache blocks across requests.
   std::vector<std::string> sample(const SampleOptions& options, Rng& rng,
                                   LmDecoder& decoder) const;
 
@@ -115,9 +115,9 @@ class TrafficLM {
 
   nn::ParameterList parameters() const;
 
-  /// Eagerly packs all int8 weight caches so the first quantized inference
-  /// pays no pack cost (no-op when NETFM_QUANT is off).
-  void prequantize() const;
+  /// Eagerly packs all inference weight panels (int8 too when NETFM_QUANT
+  /// is on) so the first inference call pays no pack cost.
+  void prepack() const;
 
   /// Logits for the next token after `ids` (ids start with [CLS]).
   /// Re-runs the full forward every call — the uncached reference path that

@@ -16,25 +16,24 @@ Tensor MlmHead::forward(const Tensor& hidden) const {
   const Tensor transformed =
       norm_.forward(nn::gelu(transform_.forward(hidden)));
   // Tied decoder: logits = transformed * E^T + bias.
-  if (nn::quant::enabled() && nn::inference_mode()) {
+  if (nn::inference_mode()) {
     // E is [V, D]; decoder column v is E row v, so (k, j) -> e[j * D + k]
-    // (rs = 1, cs = D) quantizes the tied weights without a transpose copy.
+    // (rs = 1, cs = D) packs the tied weights without a transpose copy.
     const Tensor& e = tied_embeddings_;
-    Tensor y = nn::quant::linear(transformed, e.data().data(), /*K=*/e.dim(1),
-                                 /*N=*/e.dim(0), /*rs=*/1, /*cs=*/e.dim(1),
-                                 decoder_cache_);
-    if (y.defined()) return nn::add(y, decoder_bias_.tensor);
+    return nn::packed_linear(transformed, e.data().data(), /*K=*/e.dim(1),
+                             /*N=*/e.dim(0), /*rs=*/1, /*cs=*/e.dim(1),
+                             decoder_bias_.tensor, decoder_packed_);
   }
   return nn::add(nn::matmul(transformed, nn::transpose(tied_embeddings_)),
                  decoder_bias_.tensor);
 }
 
-void MlmHead::prequantize() const {
-  transform_.prequantize();
+void MlmHead::prepack() const {
+  transform_.prepack();
   if (!tied_embeddings_.defined()) return;
   const Tensor& e = tied_embeddings_;
-  nn::quant::prepack(e.data().data(), /*K=*/e.dim(1), /*N=*/e.dim(0),
-                     /*rs=*/1, /*cs=*/e.dim(1), decoder_cache_);
+  nn::prepack(e.data().data(), /*K=*/e.dim(1), /*N=*/e.dim(0), /*rs=*/1,
+              /*cs=*/e.dim(1), decoder_packed_);
 }
 
 void MlmHead::collect(nn::ParameterList& out) const {

@@ -14,22 +14,22 @@ class MlmHead {
   MlmHead(const TransformerConfig& config, const nn::Tensor& tied_embeddings,
           Rng& rng);
 
-  /// hidden [B*T, D] -> logits [B*T, V]. In inference mode with
-  /// NETFM_QUANT on, the tied decoder runs on the int8 quantized GEMM
-  /// (per-vocab-row scales, no transposed weight copy).
+  /// hidden [B*T, D] -> logits [B*T, V]. In inference mode the tied
+  /// decoder runs on panels packed straight from the [V, D] embedding
+  /// table (nn/packed.h; int8 when NETFM_QUANT is on), with no transposed
+  /// weight copy.
   nn::Tensor forward(const nn::Tensor& hidden) const;
   void collect(nn::ParameterList& out) const;
 
-  /// Eagerly packs the transform + tied-decoder int8 caches (no-op when
-  /// quant is off).
-  void prequantize() const;
+  /// Eagerly packs the transform + tied-decoder weight panels.
+  void prepack() const;
 
  private:
   Linear transform_;
   LayerNorm norm_;
   nn::Tensor tied_embeddings_;  // [V, D]
   nn::Parameter decoder_bias_;  // [V]
-  mutable nn::quant::PackedWeights decoder_cache_;
+  mutable nn::PackedWeights decoder_packed_;
 };
 
 /// Pools the first token ([CLS]) of each sequence: [B*T, D] -> [B, D],
@@ -41,7 +41,7 @@ class Pooler {
   nn::Tensor forward(const nn::Tensor& hidden, std::size_t batch_size,
                      std::size_t seq_len) const;
   void collect(nn::ParameterList& out) const;
-  void prequantize() const { dense_.prequantize(); }
+  void prepack() const { dense_.prepack(); }
 
  private:
   Linear dense_;
@@ -55,7 +55,7 @@ class ClassificationHead {
   nn::Tensor forward(const nn::Tensor& pooled) const;
   void collect(nn::ParameterList& out) const;
   std::size_t num_classes() const noexcept { return num_classes_; }
-  void prequantize() const { dense_.prequantize(); }
+  void prepack() const { dense_.prepack(); }
 
  private:
   Linear dense_;
@@ -69,9 +69,9 @@ class RegressionHead {
 
   nn::Tensor forward(const nn::Tensor& pooled) const;
   void collect(nn::ParameterList& out) const;
-  void prequantize() const {
-    hidden_.prequantize();
-    out_.prequantize();
+  void prepack() const {
+    hidden_.prepack();
+    out_.prepack();
   }
 
  private:
@@ -86,7 +86,7 @@ class NextSegmentHead {
 
   nn::Tensor forward(const nn::Tensor& pooled) const;
   void collect(nn::ParameterList& out) const;
-  void prequantize() const { dense_.prequantize(); }
+  void prepack() const { dense_.prepack(); }
 
  private:
   Linear dense_;

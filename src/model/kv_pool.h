@@ -1,6 +1,6 @@
 // Paged attention KV storage: a shared pool of fixed-size token blocks plus
-// per-session block tables (vLLM-style), replacing the dense per-session
-// `layers x heads x max_seq_len x head_dim` reservation of KvCache.
+// per-session block tables (vLLM-style), instead of a dense per-session
+// `layers x heads x max_seq_len x head_dim` reservation.
 //
 // A KvBlockPool owns, per layer, one K and one V buffer laid out as
 // [num_blocks][heads][block_tokens][head_dim] — so each (block, head) is a
@@ -14,9 +14,8 @@
 // Thread safety: try_alloc/free_block synchronize through the pool mutex,
 // which is also the handoff edge for block contents — two sessions never
 // hold the same block, so concurrent decodes on distinct caches touch
-// disjoint rows. The same staleness rule as KvCache applies: cached rows
-// are projections of the current weights; reset() after any weight
-// mutation.
+// disjoint rows. Cached rows are projections of the current weights:
+// reset() after any weight mutation.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +30,9 @@ namespace netfm::model {
 /// Thrown when an incremental decode cannot append another token: either
 /// the session hit the model's max_seq_len, or (pool_exhausted()) the
 /// shared block pool has no free block. Derives std::invalid_argument so
-/// callers of the dense route's "cache full" contract keep working; the
-/// serving layer maps pool_exhausted() to a typed `context_full` reject.
+/// callers catching a generic "cache full" invalid_argument keep working;
+/// the serving layer maps pool_exhausted() to a typed `context_full`
+/// reject.
 class ContextFullError : public std::invalid_argument {
  public:
   explicit ContextFullError(const std::string& what, bool pool_exhausted = false)
@@ -151,8 +151,7 @@ struct PagedKvCache {
   }
   ~PagedKvCache() { release(); }
 
-  /// Forgets all cached tokens but keeps the held blocks (the paged
-  /// analogue of KvCache::reset keeping its allocation) — a recycled
+  /// Forgets all cached tokens but keeps the held blocks — a recycled
   /// session replays into the same blocks with zero allocator traffic.
   void reset() noexcept { length = 0; }
 

@@ -13,7 +13,7 @@
 #include "model/config.h"
 #include "model/kv_pool.h"
 #include "nn/optim.h"
-#include "nn/quant.h"
+#include "nn/packed.h"
 #include "nn/tensor.h"
 
 namespace netfm::model {
@@ -53,43 +53,25 @@ struct AttentionContext {
                                 const AttentionContext* previous = nullptr);
 };
 
-/// Per-layer attention key/value history for incremental decoding: feeding
-/// token t through TransformerEncoder::forward_incremental appends one
-/// [H, dk] row per layer and attends over the cached prefix, so a step
-/// costs O(T) in the sequence length instead of the O(T^2) of re-running
-/// the full forward. Rows [0, length) of each layer buffer are valid.
-///
-/// The cache holds projections of the *current* weights: reset() it after
-/// any weight mutation (training step, checkpoint load) — stale rows would
-/// silently mix old and new parameters (see DESIGN.md).
-struct KvCache {
-  std::size_t layers = 0, heads = 0, head_dim = 0, capacity = 0;
-  std::size_t length = 0;  // tokens cached so far
-  // One [H, capacity, dk] row-major buffer per layer.
-  std::vector<nn::FloatBuffer> keys, values;
-
-  /// Forgets all cached tokens (keeps the allocation).
-  void reset() noexcept { length = 0; }
-};
-
 /// Dense affine layer (weight [in, out], bias [out]).
 class Linear {
  public:
   Linear() = default;
   Linear(std::size_t in, std::size_t out, Rng& rng, const std::string& name);
 
-  /// In inference mode with NETFM_QUANT on, routes through the int8
-  /// weight-quantized GEMM (falling back to fp32 when the layer cannot
-  /// quantize — see nn/quant.h); otherwise the fp32 autograd matmul.
+  /// In inference mode, runs on the layer's packed weight panels
+  /// (nn/packed.h: fp32, or int8 when NETFM_QUANT is on and the layer
+  /// quantizes); otherwise the fp32 autograd matmul. With quant off both
+  /// routes give the same bits.
   nn::Tensor forward(const nn::Tensor& x) const;
   void collect(nn::ParameterList& out) const;
 
-  /// Eagerly packs the int8 weight cache (no-op when quant is off).
-  void prequantize() const;
+  /// Eagerly packs the weight panels for the current weights.
+  void prepack() const;
 
  private:
   nn::Parameter weight_, bias_;
-  mutable nn::quant::PackedWeights quant_cache_;
+  mutable nn::PackedWeights packed_;
 };
 
 /// LayerNorm with learned gain/bias.
@@ -117,33 +99,23 @@ class EncoderBlock {
   nn::Tensor forward(const nn::Tensor& x, const AttentionContext& ctx,
                      bool train, Rng& rng) const;
 
-  /// One-token decode step: x is [1, D] for the token at position
-  /// `cache.length`; appends this layer's K/V rows to the cache and attends
-  /// over the cached prefix. Bit-identical to the corresponding row of the
-  /// full forward (see the implementation notes). Does not update
-  /// last_attention().
-  nn::Tensor forward_incremental(const nn::Tensor& x, KvCache& cache,
-                                 std::size_t layer) const;
-
   /// Batched one-token decode step over B independent sessions: x is
   /// [B, D] (row b is session b's token at position caches[b]->length).
   /// Appends each row's K/V into its session's current KV block and
   /// attends over that session's block table. Row b is bit-identical to
-  /// the dense forward_incremental on session b alone — projections,
-  /// LayerNorm, GELU, and the quantized GEMM are all row-independent, and
-  /// the per-head attention loops reduce the same indices in the same
-  /// order through the block table. Callers must have reserved each
+  /// the corresponding row of the full forward over session b's prefix
+  /// (see the implementation notes). Callers must have reserved each
   /// cache's block for this step already (see
-  /// TransformerEncoder::forward_incremental_batch).
+  /// TransformerEncoder::forward_incremental_batch). Does not update
+  /// last_attention().
   nn::Tensor forward_incremental_batch(const nn::Tensor& x,
                                        std::span<PagedKvCache* const> caches,
                                        std::size_t layer) const;
 
   void collect(nn::ParameterList& out) const;
 
-  /// Eagerly packs every projection's int8 weight cache (no-op when quant
-  /// is off).
-  void prequantize() const;
+  /// Eagerly packs every projection's weight panels.
+  void prepack() const;
 
   /// Attention probabilities from the most recent forward: one tensor of
   /// shape [B*H, T, T]. Kept for interpretability (attention rollout).
@@ -165,17 +137,6 @@ class TransformerEncoder {
   /// Returns contextual embeddings [B*T, D].
   nn::Tensor forward(const Batch& batch, bool train = false) const;
 
-  /// An empty cache sized for this encoder (capacity = max_seq_len).
-  KvCache make_cache() const;
-
-  /// Feeds one token at position `cache.length` and returns its contextual
-  /// embedding [1, D]. Requires a causal config and a cache from
-  /// make_cache(). The result is bit-identical to the last row of
-  /// forward() over the same prefix, at O(T) cost per step instead of
-  /// O(T^2). Typically run under nn::InferenceGuard; no dropout is applied
-  /// (equivalent to train=false).
-  nn::Tensor forward_incremental(int token_id, KvCache& cache) const;
-
   /// A shared paged KV block pool sized for this encoder. `num_blocks` 0
   /// means NETFM_KV_BLOCKS when set, else exactly one full sequence
   /// (ceil(max_seq_len / block_tokens)); block size comes from
@@ -186,14 +147,15 @@ class TransformerEncoder {
   std::size_t blocks_per_sequence() const noexcept;
 
   /// An empty paged cache drawing from `pool` (geometry must match this
-  /// encoder). The no-arg overload builds a private single-sequence pool —
-  /// a drop-in replacement for make_cache() that can never run out of
-  /// blocks before max_seq_len.
+  /// encoder). The no-arg overload builds a private single-sequence pool
+  /// that can never run out of blocks before max_seq_len.
   PagedKvCache make_paged_cache(std::shared_ptr<KvBlockPool> pool) const;
   PagedKvCache make_paged_cache() const;
 
-  /// Paged analogue of forward_incremental(int, KvCache&): bit-identical
-  /// to it (and so to the full forward) at every step. Throws
+  /// Feeds one token at position `cache.length` and returns its contextual
+  /// embedding [1, D]: bit-identical to the last row of forward() over the
+  /// same prefix, at O(T) cost per step instead of O(T^2). Requires a
+  /// causal config; run under nn::InferenceGuard (no dropout). Throws
   /// ContextFullError when the session is at max_seq_len or
   /// (pool_exhausted()) the shared pool has no free block; on pool
   /// exhaustion the cache is left unmodified, so the session can retry
@@ -202,7 +164,7 @@ class TransformerEncoder {
 
   /// One lockstep decode step across B sessions: token_ids[b] is fed to
   /// caches[b] at its current length; returns the B contextual embeddings
-  /// as [B, D]. Each row is bit-identical to the serial dense route on
+  /// as [B, D]. Each row is bit-identical to the single-session route on
   /// that session alone. Blocks needed by this step are reserved up front
   /// across all sessions — on exhaustion the reservation is rolled back
   /// and ContextFullError{pool_exhausted()=true} is thrown with every
@@ -213,9 +175,9 @@ class TransformerEncoder {
   const TransformerConfig& config() const noexcept { return config_; }
   nn::ParameterList parameters() const;
 
-  /// Eagerly packs all layers' int8 weight caches so the first quantized
-  /// inference pays no pack cost (no-op when quant is off).
-  void prequantize() const;
+  /// Eagerly packs all layers' weight panels so the first inference call
+  /// pays no pack cost.
+  void prepack() const;
 
   /// Token embedding table [V, D] (tied into the MLM decoder).
   const nn::Tensor& token_embeddings() const noexcept {

@@ -118,7 +118,7 @@ Backend parse(std::string_view name);
 /// order through the dispatched weighted_sum / weighted_sum_acc kernels;
 /// the per-element add sequence is identical to one contiguous
 /// weighted_sum over the same t rows, so the result is bit-identical to
-/// the dense route on every backend.
+/// the contiguous kernel on every backend.
 inline void paged_weighted_sum(const KernelTable& kt, const float* w,
                                const float* const* runs, std::size_t n_runs,
                                std::size_t run_tokens, std::size_t t,

@@ -27,50 +27,6 @@ std::int8_t quantize_value(float v, float scale) {
   return static_cast<std::int8_t>(std::clamp(q, -127L, 127L));
 }
 
-/// (Re)packs W into per-output-channel int8 panels. Caller holds cache.mu.
-void repack(PackedWeights& c, const float* w, std::size_t K, std::size_t N,
-            std::size_t rs, std::size_t cs) {
-  const std::uint64_t epoch = weight_epoch();  // read before the weights
-  c.K = K;
-  c.N = N;
-  c.kp = (K + kernels::kQuantKAlign - 1) / kernels::kQuantKAlign *
-         kernels::kQuantKAlign;
-  c.panels.assign(N * c.kp, 0);
-  c.scales.assign(N, 0.0f);
-  const auto pack_cols = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t j = lo; j < hi; ++j) {
-      float maxabs = 0.0f;
-      for (std::size_t k = 0; k < K; ++k)
-        maxabs = std::max(maxabs, std::fabs(w[k * rs + j * cs]));
-      if (maxabs == 0.0f) continue;  // scale 0, panel stays zero
-      const float scale = maxabs / 127.0f;
-      c.scales[j] = scale;
-      std::int8_t* dst = c.panels.data() + j * c.kp;
-      for (std::size_t k = 0; k < K; ++k)
-        dst[k] = quantize_value(w[k * rs + j * cs], scale);
-    }
-  };
-  if (N * K >= kParallelCutoff) {
-    const std::size_t grain =
-        std::max<std::size_t>(1, kParallelCutoff / std::max<std::size_t>(1, K));
-    ThreadPool::global().parallel_for(0, N, grain, pack_cols);
-  } else {
-    pack_cols(0, N);
-  }
-  c.epoch = epoch;
-  static const auto repacks = metrics::counter("nn.quant.repack");
-  repacks.add(1);
-}
-
-/// Validates the cache against the current weight epoch, repacking when
-/// stale. Returns with the panels/scales current for this epoch.
-void ensure(PackedWeights& c, const float* w, std::size_t K, std::size_t N,
-            std::size_t rs, std::size_t cs) {
-  const std::lock_guard<std::mutex> lock(*c.mu);
-  if (c.epoch != weight_epoch() || c.K != K || c.N != N)
-    repack(c, w, K, N, rs, cs);
-}
-
 }  // namespace
 
 bool enabled() noexcept {
@@ -98,27 +54,52 @@ void bump_weight_epoch() noexcept {
   g_epoch.fetch_add(1, std::memory_order_release);
 }
 
-void prepack(const float* w, std::size_t K, std::size_t N, std::size_t rs,
-             std::size_t cs, PackedWeights& cache) {
-  if (!enabled() || K < kMinK) return;
-  ensure(cache, w, K, N, rs, cs);
+void pack_panels(WeightPanels& c) {
+  const float* w = c.source;
+  const std::size_t K = c.K, N = c.N, rs = c.rs, cs = c.cs;
+  c.kp = (K + kernels::kQuantKAlign - 1) / kernels::kQuantKAlign *
+         kernels::kQuantKAlign;
+  c.i8.assign(N * c.kp, 0);
+  c.scales.assign(N, 0.0f);
+  const auto pack_cols = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t j = lo; j < hi; ++j) {
+      float maxabs = 0.0f;
+      for (std::size_t k = 0; k < K; ++k)
+        maxabs = std::max(maxabs, std::fabs(w[k * rs + j * cs]));
+      if (maxabs == 0.0f) continue;  // scale 0, panel stays zero
+      const float scale = maxabs / 127.0f;
+      c.scales[j] = scale;
+      std::int8_t* dst = c.i8.data() + j * c.kp;
+      for (std::size_t k = 0; k < K; ++k)
+        dst[k] = quantize_value(w[k * rs + j * cs], scale);
+    }
+  };
+  if (N * K >= kParallelCutoff) {
+    const std::size_t grain =
+        std::max<std::size_t>(1, kParallelCutoff / std::max<std::size_t>(1, K));
+    ThreadPool::global().parallel_for(0, N, grain, pack_cols);
+  } else {
+    pack_cols(0, N);
+  }
 }
 
 Tensor linear(const Tensor& x, const float* w, std::size_t K, std::size_t N,
               std::size_t rs, std::size_t cs, PackedWeights& cache) {
   if (!enabled() || !inference_mode()) return {};
+  return linear(x, *cache.get(w, K, N, rs, cs, /*want_i8=*/true));
+}
+
+Tensor linear(const Tensor& x, const WeightPanels& panels, const float* bias) {
   static const auto fallback_fault = fault::point("nn.quant.fallback");
-  if (K < kMinK || fallback_fault.fire()) {
+  if (panels.kp == 0 || fallback_fault.fire()) {
     static const auto fallbacks = metrics::counter("nn.quant.fallback");
     fallbacks.add(1);
     return {};
   }
+  const std::size_t K = panels.K, N = panels.N, kp = panels.kp;
   if (x.rank() == 0 || x.dim(x.rank() - 1) != K)
     throw std::invalid_argument("quant::linear: x last dim must equal K");
-
-  ensure(cache, w, K, N, rs, cs);
   const std::size_t M = x.size() / K;
-  const std::size_t kp = cache.kp;
   if (M == 0 || N == 0) return {};
 
   // Carve the int8 activation rows, per-row scales, and int32 accumulators
@@ -163,7 +144,7 @@ Tensor linear(const Tensor& x, const float* w, std::size_t K, std::size_t N,
   // Exact int32 GEMM on the dispatched backend. Integer adds commute
   // exactly, so splitting rows across the pool cannot change results.
   const auto gemm_i8 = kernels::table().gemm_i8;
-  const std::int8_t* bt = cache.panels.data();
+  const std::int8_t* bt = panels.i8.data();
   const auto gemm_run = [=](std::size_t lo, std::size_t hi) {
     gemm_i8(aq + lo * kp, bt, hi - lo, N, kp, acc + lo * N);
   };
@@ -175,19 +156,22 @@ Tensor linear(const Tensor& x, const float* w, std::size_t K, std::size_t N,
     gemm_run(0, M);
   }
 
-  // Dequantize: out = acc * scale_row * scale_col.
+  // Dequantize: out = acc * scale_row * scale_col (+ bias, the same single
+  // rounding as nn::add on the stored product).
   Shape out_shape = x.shape();
   out_shape.back() = N;
   Tensor out = Tensor::empty(std::move(out_shape));
   float* op = out.data().data();
-  const float* sb = cache.scales.data();
+  const float* sb = panels.scales.data();
   const auto dequant_rows = [=](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       const float si = sa[i];
       const std::int32_t* arow = acc + i * N;
       float* orow = op + i * N;
-      for (std::size_t j = 0; j < N; ++j)
-        orow[j] = static_cast<float>(arow[j]) * si * sb[j];
+      for (std::size_t j = 0; j < N; ++j) {
+        const float y = static_cast<float>(arow[j]) * si * sb[j];
+        orow[j] = bias ? y + bias[j] : y;
+      }
     }
   };
   if (M * N >= kParallelCutoff) {

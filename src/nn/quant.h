@@ -15,16 +15,13 @@
 // point fires) return an undefined Tensor and bump the nn.quant.fallback
 // counter — the caller runs its fp32 path, visibly, never silently wrong.
 //
-// Cached panels belong to the *current* weights: optimizer steps and
-// checkpoint loads bump a global weight epoch, and a stale cache re-packs
-// lazily on next use (or eagerly via the model's prequantize pass).
+// The int8 panels live in the layer's nn::PackedWeights cache next to its
+// fp32 panels (nn/packed.h): one cache, one epoch check, one pack pass.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
 
+#include "nn/packed.h"
 #include "nn/tensor.h"
 
 namespace netfm::nn::quant {
@@ -40,36 +37,26 @@ bool enabled() noexcept;
 void set_enabled(bool on) noexcept;
 
 /// Global weight-mutation epoch. Optimizer steps and parameter loads bump
-/// it; PackedWeights caches stamped with an older epoch re-pack on use.
+/// it; PackedWeights snapshots stamped with an older epoch repack on use.
 std::uint64_t weight_epoch() noexcept;
 void bump_weight_epoch() noexcept;
 
-/// One layer's quantized weight cache. Default-constructed = empty; filled
-/// lazily by linear() or eagerly by a model's prequantize pass.
-struct PackedWeights {
-  std::vector<std::int8_t> panels;  // N x kp row-major; row j = column j of W
-  std::vector<float> scales;        // per output channel, length N
-  std::size_t K = 0, N = 0, kp = 0;
-  std::uint64_t epoch = 0;  // weight_epoch() at pack time; 0 = never packed
-  // Guards lazy (re)packing; held only while validating/building, not
-  // during the GEMM. unique_ptr keeps the struct movable.
-  std::unique_ptr<std::mutex> mu = std::make_unique<std::mutex>();
-};
+/// Fills `panels`' int8 half (i8, scales, kp) from the weight its fp32 half
+/// was packed from. Called by PackedWeights::get while it builds a snapshot.
+void pack_panels(WeightPanels& panels);
 
-/// Quantized inference linear: returns x @ W for W's element (k, j) at
-/// w[k * rs + j * cs] (so both [K, N] row-major weights and tied [N, K]
-/// embedding tables quantize without a transpose copy). x's last dim must
-/// equal K; the result replaces it with N. No bias — callers add theirs.
-///
-/// Returns an undefined Tensor when the quantized route declines (quant
-/// disabled, not in inference mode, K < kMinK, or the nn.quant.fallback
-/// fault fires); the caller must then take its fp32 path.
+/// Quantized inference linear on packed panels: x @ W, plus bias (length
+/// N) when non-null. x's last dim must equal K; the result replaces it
+/// with N. Returns an undefined Tensor, counting nn.quant.fallback, when
+/// the panels carry no int8 data (K < kMinK) or the nn.quant.fallback fault
+/// fires; the caller must then take its fp32 path.
+Tensor linear(const Tensor& x, const WeightPanels& panels,
+              const float* bias = nullptr);
+
+/// The int8 route through a layer cache, without bias: returns undefined
+/// when quant is disabled, outside inference mode, or when the layer
+/// declines as above.
 Tensor linear(const Tensor& x, const float* w, std::size_t K, std::size_t N,
               std::size_t rs, std::size_t cs, PackedWeights& cache);
-
-/// Eagerly packs `cache` for the current weights so the first quantized
-/// forward pays no pack cost. No-op when quant is disabled or K < kMinK.
-void prepack(const float* w, std::size_t K, std::size_t N, std::size_t rs,
-             std::size_t cs, PackedWeights& cache);
 
 }  // namespace netfm::nn::quant

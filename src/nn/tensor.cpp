@@ -9,6 +9,7 @@
 
 #include "common/metrics.h"
 #include "common/threadpool.h"
+#include "nn/gemm.h"
 #include "nn/kernels/kernels.h"
 #include "nn/workspace.h"
 
@@ -19,7 +20,9 @@ namespace {
   throw std::invalid_argument("netfm::nn: " + what);
 }
 
-void check(bool ok, const std::string& what) {
+/// Takes a literal so a passing check builds no string; checks whose
+/// message needs formatting call fail() on the failure branch instead.
+void check(bool ok, const char* what) {
   if (!ok) fail(what);
 }
 
@@ -92,72 +95,33 @@ void parallel_rows(std::size_t rows, std::size_t cols, Fn&& fn) {
 
 // ---- blocked GEMM -------------------------------------------------------
 //
-// C (M x N, row-major) = (or +=) op(A) * op(B), where op(A)/op(B) are
-// strided views so transposed operands cost nothing. op(B) is packed once
-// per call into NR-wide column panels (contiguous, zero-padded), then
-// MR x NR register-blocked micro-tiles stream over the packed panels.
-// The reduction over K is not split, so each output element accumulates in
-// the same order as the naive triple loop — blocked and reference kernels
-// agree bit-for-bit.
-//
+// See nn/gemm.h. nn::matmul packs op(B) once per call into thread-local
+// scratch; the inference route reuses per-layer panels (nn/packed.h).
 // The micro-kernel itself lives in nn/kernels/ behind a runtime-dispatched
 // backend table (scalar oracle, AVX2, AVX-512, NEON); every backend keeps
 // the same per-element reduction order, so dispatch never changes results.
 
 using kernels::MatRef;
 using kernels::kMR;
-using kernels::kNR;
 
 /// Multiply-adds below which a GEMM is not worth fanning out.
 constexpr std::size_t kGemmParallelCutoff = std::size_t{1} << 15;
-
-/// Packs op(B) (K x N) into ceil(N/NR) panels of K x NR, zero-padded on the
-/// right edge, laid out panel-major so the micro-kernel streams linearly.
-void pack_b(MatRef b, std::size_t K, std::size_t N, float* packed) {
-  for (std::size_t jp = 0; jp < N; jp += kNR) {
-    const std::size_t nr = std::min(kNR, N - jp);
-    float* dst = packed + jp * K;
-    for (std::size_t kk = 0; kk < K; ++kk) {
-      const float* src = b.p + kk * b.rs + jp * b.cs;
-      std::size_t c = 0;
-      for (; c < nr; ++c) dst[c] = src[c * b.cs];
-      for (; c < kNR; ++c) dst[c] = 0.0f;
-      dst += kNR;
-    }
-  }
-}
 
 /// Per-thread packed-B scratch. Only the thread that packs reads/writes its
 /// own buffer until it hands the pointer to pool workers for the duration
 /// of one (blocking) parallel_for, so there is no aliasing across calls.
 thread_local std::vector<float> t_pack_scratch;
 
-/// Full GEMM: packs op(B), then runs row-blocks serially or on the pool.
-/// Chunk grain is derived from the matrix sizes only (never the thread
-/// count), and each chunk owns whole output rows — results are identical
-/// for every pool size.
+/// Full GEMM: packs op(B) into per-thread scratch, then runs gemm_packed.
 template <bool Accumulate>
 void gemm(std::size_t M, std::size_t N, std::size_t K, MatRef a, MatRef b,
           float* c, bool allow_parallel) {
   if (M == 0 || N == 0 || K == 0) return;
   std::vector<float>& scratch = t_pack_scratch;
-  const std::size_t packed_size = (N + kNR - 1) / kNR * kNR * K;
+  const std::size_t packed_size = packed_b_size(K, N);
   if (scratch.size() < packed_size) scratch.resize(packed_size);
-  float* packed = scratch.data();
-  pack_b(b, K, N, packed);
-  const auto gemm_rows = kernels::table().gemm_rows;
-  const auto run = [=](std::size_t lo, std::size_t hi) {
-    gemm_rows(a, packed, K, N, c, lo, hi, Accumulate);
-  };
-  if (!allow_parallel || M * N * K < kGemmParallelCutoff) {
-    run(0, M);
-    return;
-  }
-  // At least one micro-tile of rows and ~cutoff flops per chunk.
-  const std::size_t min_rows =
-      kGemmParallelCutoff / std::max<std::size_t>(1, N * K) + 1;
-  const std::size_t grain = (std::max(min_rows, kMR) + kMR - 1) / kMR * kMR;
-  ThreadPool::global().parallel_for(0, M, grain, run);
+  pack_b(b, K, N, scratch.data());
+  gemm_packed(M, N, K, a, scratch.data(), c, Accumulate, allow_parallel);
 }
 
 /// Interprets a tensor as a batch of matrices: rank 2 = batch 1.
@@ -186,6 +150,44 @@ std::string shape_str(const Shape& shape) {
     out += std::to_string(shape[i]);
   }
   return out + "]";
+}
+
+void pack_b(MatRef b, std::size_t K, std::size_t N, float* packed) {
+  for (std::size_t jp = 0; jp < N; jp += kernels::kNR) {
+    const std::size_t nr = std::min(kernels::kNR, N - jp);
+    float* dst = packed + jp * K;
+    for (std::size_t kk = 0; kk < K; ++kk) {
+      const float* src = b.p + kk * b.rs + jp * b.cs;
+      std::size_t c = 0;
+      for (; c < nr; ++c) dst[c] = src[c * b.cs];
+      for (; c < kernels::kNR; ++c) dst[c] = 0.0f;
+      dst += kernels::kNR;
+    }
+  }
+}
+
+void gemm_packed(std::size_t M, std::size_t N, std::size_t K, MatRef a,
+                 const float* packed, float* c, bool accumulate,
+                 bool allow_parallel, const float* bias) {
+  if (M == 0 || N == 0 || K == 0) return;
+  const auto gemm_rows = kernels::table().gemm_rows;
+  const auto run = [=](std::size_t lo, std::size_t hi) {
+    gemm_rows(a, packed, K, N, c, lo, hi, accumulate);
+    if (bias == nullptr) return;
+    for (std::size_t i = lo; i < hi; ++i) {
+      float* row = c + i * N;
+      for (std::size_t j = 0; j < N; ++j) row[j] = row[j] + bias[j];
+    }
+  };
+  if (!allow_parallel || M * N * K < kGemmParallelCutoff) {
+    run(0, M);
+    return;
+  }
+  // At least one micro-tile of rows and ~cutoff flops per chunk.
+  const std::size_t min_rows =
+      kGemmParallelCutoff / std::max<std::size_t>(1, N * K) + 1;
+  const std::size_t grain = (std::max(min_rows, kMR) + kMR - 1) / kMR * kMR;
+  ThreadPool::global().parallel_for(0, M, grain, run);
 }
 
 TensorNode::~TensorNode() {
@@ -344,9 +346,9 @@ MatmulDims matmul_dims(const Tensor& a, const Tensor& b) {
   const MatView av = as_matrices(a.shape(), "matmul lhs");
   const MatView bv = as_matrices(b.shape(), "matmul rhs");
   const bool shared_rhs = a.rank() == 3 && b.rank() == 2;
-  check(av.cols == bv.rows, "matmul: inner dims differ: " +
-                                shape_str(a.shape()) + " x " +
-                                shape_str(b.shape()));
+  if (av.cols != bv.rows)
+    fail("matmul: inner dims differ: " + shape_str(a.shape()) + " x " +
+         shape_str(b.shape()));
   check(shared_rhs || av.batch == bv.batch, "matmul: batch mismatch");
   Shape out_shape = a.rank() == 3 ? Shape{av.batch, av.rows, bv.cols}
                                   : Shape{av.rows, bv.cols};
@@ -468,18 +470,23 @@ Tensor add_like(const Tensor& a, const Tensor& b, float sign) {
   const std::size_t bn = b.size();
   const std::size_t last = a.shape().back();
   const bool broadcast = bn != an;
-  check(!broadcast || bn == last,
-        "add: rhs must match shape or last dim, got " + shape_str(a.shape()) +
-            " vs " + shape_str(b.shape()));
+  if (broadcast && bn != last)
+    fail("add: rhs must match shape or last dim, got " + shape_str(a.shape()) +
+         " vs " + shape_str(b.shape()));
 
   auto node = make_node(a.shape(), {a.node(), b.node()}, Init::kUninit);
   const float* ap = a.data().data();
   const float* bp = b.data().data();
   float* op = node->value.data();
   if (broadcast) {
-    parallel_elems(an, [=](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i)
-        op[i] = ap[i] + sign * bp[i % last];
+    // Row loop: b repeats along every row of a, no per-element modulo.
+    parallel_rows(an / last, last, [=](std::size_t lo, std::size_t hi) {
+      for (std::size_t r = lo; r < hi; ++r) {
+        const float* arow = ap + r * last;
+        float* orow = op + r * last;
+        for (std::size_t j = 0; j < last; ++j)
+          orow[j] = arow[j] + sign * bp[j];
+      }
     });
   } else {
     parallel_elems(an, [=](std::size_t lo, std::size_t hi) {
@@ -1006,9 +1013,9 @@ Tensor transpose(const Tensor& a) {
 }
 
 Tensor reshape(const Tensor& a, Shape shape) {
-  check(numel(shape) == a.size(), "reshape: element count mismatch " +
-                                      shape_str(a.shape()) + " -> " +
-                                      shape_str(shape));
+  if (numel(shape) != a.size())
+    fail("reshape: element count mismatch " + shape_str(a.shape()) + " -> " +
+         shape_str(shape));
   auto node = make_node(std::move(shape), {a.node()}, Init::kUninit);
   node->value.assign(a.data().begin(), a.data().end());
   set_backward(node, [](TensorNode& self) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 
 #include "common/json.h"
 #include "common/strings.h"
@@ -18,14 +19,15 @@ std::optional<Op> op_from_target(std::string_view target) noexcept {
   return std::nullopt;
 }
 
-/// Non-negative integral member with a default; nullopt on a wrong type.
+/// Non-negative integral member with a default, exact up to 2^64 - 1;
+/// nullopt on a wrong type, a negative or fractional value, or one past
+/// 2^64 - 1.
 std::optional<std::uint64_t> uint_member(const json::Value& obj,
                                          std::string_view key,
                                          std::uint64_t fallback) {
   const json::Value* v = obj.find(key);
   if (!v) return fallback;
-  if (!v->is_number() || v->as_number() < 0) return std::nullopt;
-  return static_cast<std::uint64_t>(v->as_number());
+  return v->as_uint();
 }
 
 std::optional<std::vector<std::string>> string_array(const json::Value& v) {
@@ -131,11 +133,13 @@ std::optional<Request> parse_request(std::string_view target,
       }
       request.ids.reserve(ids->as_array().size());
       for (const json::Value& id : ids->as_array()) {
-        if (!id.is_number() || id.as_number() < 0) {
-          if (error) *error = "'ids' must be non-negative numbers";
+        const auto value = id.as_uint();
+        if (!value || *value > static_cast<std::uint64_t>(
+                                   std::numeric_limits<int>::max())) {
+          if (error) *error = "'ids' must be non-negative integers";
           return std::nullopt;
         }
-        request.ids.push_back(static_cast<int>(id.as_number()));
+        request.ids.push_back(static_cast<int>(*value));
       }
       break;
     }

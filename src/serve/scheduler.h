@@ -50,7 +50,7 @@
 // TrafficLM/NetFM from other threads must not overlap in-flight requests.
 // One scheduler per model instance; per-session KV decoding stays safe on
 // other threads because forward_incremental touches only the caller's
-// KvCache.
+// PagedKvCache.
 #pragma once
 
 #include <atomic>

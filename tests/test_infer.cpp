@@ -9,17 +9,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/threadpool.h"
 #include "core/netfm.h"
 #include "core/traffic_lm.h"
+#include "model/heads.h"
 #include "model/kv_pool.h"
 #include "nn/kernels/kernels.h"
 #include "nn/quant.h"
+#include "nn/serialize.h"
 #include "nn/tensor.h"
 #include "nn/workspace.h"
 
@@ -402,7 +406,7 @@ TEST(PagedKv, AdvanceBatchBitwiseEqualsSerialAcrossBackendsAndQuant) {
 
   for (const bool quant_on : {false, true}) {
     QuantGuard quant_guard(quant_on);
-    if (quant_on) lm.prequantize();
+    if (quant_on) lm.prepack();
     BackendGuard backend_guard;
     for (kernels::Backend b : kernels::available()) {
       kernels::set_backend(b);
@@ -619,6 +623,136 @@ TEST(PagedKv, ReleaseAndBlockReuseAreBitwiseInvisible) {
     const std::vector<float> replay = d1.advance(ids[t]);
     for (std::size_t i = 0; i < replay.size(); ++i)
       ASSERT_EQ(replay[i], first[t][i]) << "step " << t << " logit " << i;
+  }
+}
+
+/// TrafficLM's encoder + tied head rebuilt from the same config and seeds,
+/// run on the training route (no InferenceGuard, so no packed panels):
+/// next_logits copies `lm`'s current parameter values in, then does the
+/// full recording forward. The oracle for the packed-weight staleness
+/// tests below.
+class GradRouteReplica {
+ public:
+  explicit GradRouteReplica(const core::TrafficLM& lm,
+                            model::TransformerConfig config)
+      : lm_(&lm), encoder_(causal(config, lm.vocab().size())),
+        head_rng_(config.seed + 3),
+        head_(encoder_.config(), encoder_.token_embeddings(), head_rng_) {}
+
+  std::vector<float> next_logits(std::span<const int> ids) {
+    nn::ParameterList mine = encoder_.parameters();
+    head_.collect(mine);
+    const nn::ParameterList theirs = lm_->parameters();
+    EXPECT_EQ(mine.size(), theirs.size());
+    for (std::size_t i = 0; i < mine.size() && i < theirs.size(); ++i) {
+      EXPECT_EQ(mine[i].name, theirs[i].name);
+      std::copy(theirs[i].tensor.data().begin(), theirs[i].tensor.data().end(),
+                mine[i].tensor.data().begin());
+    }
+    EXPECT_FALSE(nn::inference_mode());
+    const Tensor hidden = encoder_.forward(model::Batch::single(ids));
+    const Tensor logits = head_.forward(hidden);
+    const std::size_t vocab = lm_->vocab().size();
+    const auto last = logits.data().begin() +
+                      static_cast<std::ptrdiff_t>((ids.size() - 1) * vocab);
+    return {last, last + static_cast<std::ptrdiff_t>(vocab)};
+  }
+
+ private:
+  static model::TransformerConfig causal(model::TransformerConfig config,
+                                         std::size_t vocab) {
+    config.vocab_size = vocab;
+    config.causal = true;
+    return config;
+  }
+
+  const core::TrafficLM* lm_;
+  model::TransformerEncoder encoder_;
+  Rng head_rng_;
+  model::MlmHead head_;
+};
+
+std::vector<std::vector<std::string>> tiny_corpus() {
+  return {{"tcp", "p80", "fl_S", "dir_up", "pkt"},
+          {"udp", "p53", "dns_query", "dns_resp"},
+          {"tcp", "p443", "fl_SA", "d_video", "dir_dn", "pkt"}};
+}
+
+TEST(PackedWeights, NextLogitsFreshAfterAdamStep) {
+  const tok::Vocabulary vocab = tiny_vocab();
+  const auto config = tiny_config(vocab.size());
+  core::TrafficLM lm(vocab, config);
+  GradRouteReplica replica(lm, config);
+  const std::vector<int> ids = batch_token_ids(vocab)[0];
+
+  // Warm every layer's panels, then move the weights under them.
+  const std::vector<float> before = lm.next_logits(ids);
+  EXPECT_EQ(before, replica.next_logits(ids));
+  core::LmTrainOptions options;
+  options.steps = 2;
+  options.batch_size = 2;
+  options.warmup_steps = 1;
+  lm.train(tiny_corpus(), options);
+
+  const std::vector<float> after = lm.next_logits(ids);
+  EXPECT_NE(after, before);  // the Adam steps really moved the weights
+  EXPECT_EQ(after, replica.next_logits(ids));
+}
+
+TEST(PackedWeights, NextLogitsFreshAfterCheckpointLoad) {
+  const tok::Vocabulary vocab = tiny_vocab();
+  const auto config = tiny_config(vocab.size());
+  core::TrafficLM lm(vocab, config);
+  GradRouteReplica replica(lm, config);
+  const std::vector<int> ids = batch_token_ids(vocab)[1];
+
+  // A checkpoint of a differently initialised model of the same shape.
+  auto other_config = config;
+  other_config.seed += 17;
+  const core::TrafficLM other(vocab, other_config);
+  const std::string path = testing::TempDir() + "netfm_packed_ckpt.bin";
+  ASSERT_TRUE(nn::save_checkpoint_file(path, other.parameters(), 5));
+
+  const std::vector<float> before = lm.next_logits(ids);  // warm the panels
+  nn::ParameterList params = lm.parameters();
+  ASSERT_EQ(nn::load_checkpoint_file(path, params), std::optional<std::uint64_t>(5));
+  const std::vector<float> after = lm.next_logits(ids);
+  EXPECT_NE(after, before);
+  EXPECT_EQ(after, replica.next_logits(ids));
+  EXPECT_EQ(after, other.next_logits(ids));
+  std::remove(path.c_str());
+}
+
+TEST(PackedWeights, SteadyStateAdvanceBatchPacksNothing) {
+  const tok::Vocabulary vocab = tiny_vocab();
+  const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
+  const std::vector<std::vector<int>> ids = batch_token_ids(vocab);
+  const auto packs = [] {
+    for (const auto& [name, value] : metrics::snapshot().counters)
+      if (name == "nn.gemm.weight_packs") return value;
+    return std::uint64_t{0};
+  };
+  for (const bool quant_on : {false, true}) {
+    QuantGuard quant_guard(quant_on);
+    metrics::set_enabled(true);
+    metrics::reset();
+    std::vector<core::LmDecoder> owned;
+    for (std::size_t b = 0; b < ids.size(); ++b) owned.emplace_back(lm);
+    std::vector<core::LmDecoder*> decoders;
+    for (auto& d : owned) decoders.push_back(&d);
+    std::vector<int> step(ids.size());
+    const auto advance = [&](std::size_t t) {
+      for (std::size_t b = 0; b < ids.size(); ++b) step[b] = ids[b][t];
+      core::LmDecoder::advance_batch(decoders, step);
+    };
+    // The first step packs: fp32 panels on the fresh model, then int8
+    // panels once quant is switched on.
+    advance(0);
+    const std::uint64_t warmed = packs();
+    EXPECT_GT(warmed, 0u) << "quant=" << quant_on;
+    for (std::size_t t = 1; t < ids[0].size(); ++t) advance(t);
+    EXPECT_EQ(packs(), warmed) << "quant=" << quant_on;
+    metrics::set_enabled(false);
   }
 }
 

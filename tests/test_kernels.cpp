@@ -252,7 +252,7 @@ TEST(QuantGemm, LogitsWithinBoundOfFp32) {
 
   const std::vector<float> fp32 = lm.next_logits(ids);
   QuantGuard quant_on(true);
-  lm.prequantize();
+  lm.prepack();
   const std::vector<float> quantized = lm.next_logits(ids);
   ASSERT_EQ(quantized.size(), fp32.size());
   float max_dev = 0.0f;
@@ -306,7 +306,7 @@ TEST(QuantGemm, TinyKFallsBackVisibly) {
   Rng rng(9);
   const Tensor x = Tensor::randn({4, 8}, rng, 1.0f, false);
   const Tensor w = Tensor::randn({8, 12}, rng, 1.0f, false);
-  quant::PackedWeights cache;
+  nn::PackedWeights cache;
   nn::InferenceGuard inference;
   // K = 8 < kMinK: the quantized route must decline...
   const Tensor y = quant::linear(x, w.data().data(), 8, 12, 12, 1, cache);
@@ -324,7 +324,7 @@ TEST(QuantGemm, FaultPointForcesFallback) {
   Rng rng(10);
   const Tensor x = Tensor::randn({2, 32}, rng, 1.0f, false);
   const Tensor w = Tensor::randn({32, 16}, rng, 1.0f, false);
-  quant::PackedWeights cache;
+  nn::PackedWeights cache;
   nn::InferenceGuard inference;
   {
     fault::Scope scope("nn.quant.fallback=1");
@@ -340,7 +340,7 @@ TEST(QuantGemm, CacheRepacksAfterWeightMutation) {
   Rng rng(11);
   const Tensor x = Tensor::randn({3, 32}, rng, 1.0f, false);
   Tensor w = Tensor::randn({32, 16}, rng, 1.0f, false);
-  quant::PackedWeights cache;
+  nn::PackedWeights cache;
   nn::InferenceGuard inference;
   const Tensor before = quant::linear(x, w.data().data(), 32, 16, 16, 1, cache);
   ASSERT_TRUE(before.defined());
@@ -354,7 +354,7 @@ TEST(QuantGemm, CacheRepacksAfterWeightMutation) {
 
   const Tensor after = quant::linear(x, w.data().data(), 32, 16, 16, 1, cache);
   ASSERT_TRUE(after.defined());
-  quant::PackedWeights fresh;
+  nn::PackedWeights fresh;
   const Tensor want = quant::linear(x, w.data().data(), 32, 16, 16, 1, fresh);
   expect_bitwise_equal(after, want, "stale-cache-repack");
   // And the doubled weights really changed the output.

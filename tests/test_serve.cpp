@@ -129,6 +129,44 @@ TEST(Protocol, RequestJsonRoundTrips) {
       serve::parse_request("/v1/score", "not json", &error).has_value());
 }
 
+TEST(Protocol, GenerateSeedsCarryExactlyAndBadNumbersAreRejected) {
+  // Integer seeds survive the codec exactly over the whole uint64 range,
+  // including those a double cannot hold (2^53 + 1, 2^64 - 1).
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, (std::uint64_t{1} << 53) + 1,
+        std::uint64_t{0xfedcba9876543211}, ~std::uint64_t{0}}) {
+    serve::Request request;
+    request.op = serve::Op::kGenerate;
+    request.seed = seed;
+    std::string error;
+    const auto parsed = serve::parse_request(
+        "/v1/generate", serve::request_to_json(request), &error);
+    ASSERT_TRUE(parsed.has_value()) << error;
+    EXPECT_EQ(parsed->seed, seed);
+  }
+  const auto seed_of = [](const std::string& literal) {
+    std::string error;
+    const auto parsed = serve::parse_request(
+        "/v1/generate", "{\"seed\":" + literal + "}", &error);
+    return parsed ? std::optional<std::uint64_t>(parsed->seed) : std::nullopt;
+  };
+  EXPECT_EQ(seed_of("9007199254740993"), (std::uint64_t{1} << 53) + 1);
+  EXPECT_EQ(seed_of("18446744073709551615"), ~std::uint64_t{0});
+  EXPECT_EQ(seed_of("1e3"), 1000u);  // integral, just spelled as a double
+  // Out of range or fractional: the typed bad-request path, not a cast.
+  EXPECT_FALSE(seed_of("18446744073709551616").has_value());
+  EXPECT_FALSE(seed_of("1e30").has_value());
+  EXPECT_FALSE(seed_of("1.5").has_value());
+  EXPECT_FALSE(seed_of("-1").has_value());
+  std::string error;
+  EXPECT_FALSE(serve::parse_request("/v1/next_logits", "{\"ids\":[1e30]}",
+                                    &error)
+                   .has_value());
+  EXPECT_FALSE(serve::parse_request("/v1/next_logits", "{\"ids\":[2.5]}",
+                                    &error)
+                   .has_value());
+}
+
 TEST(Protocol, ReplyFloatsRoundTripBitwise) {
   serve::Reply reply;
   reply.logits = {1.0f, -2.5f, 3.14159274f, 1e-30f, -1e30f, 0.333333343f};
@@ -282,7 +320,7 @@ TEST(Decoder, ConcurrentSessionsOnDistinctCaches) {
     reference[s] = lm.next_logits(ids[s]);
   }
 
-  // Each thread decodes its own session on its own KvCache while the
+  // Each thread decodes its own session on its own KV cache while the
   // shared global pool runs the forwards underneath.
   std::vector<std::vector<float>> out(kSessions);
   std::vector<std::thread> threads;
