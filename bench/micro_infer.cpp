@@ -1,5 +1,5 @@
 // Inference fast-path microbenchmarks: KV-cached vs uncached autoregressive
-// decode, no-grad (InferenceGuard + workspace + fused softmax) vs recording
+// decode, no-grad (InferenceGuard + workspace, no graph) vs recording
 // forward, and the batched embed_flows sweep. The CI bench gate
 // (check_bench_json.py --infer-gate) asserts the cached/uncached and
 // no-grad/grad ratios from this file's BENCH_micro_infer.json.
@@ -214,7 +214,7 @@ void BM_ForwardGrad(benchmark::State& state) {
 BENCHMARK(BM_ForwardGrad)->Arg(1)->Arg(8)->Arg(64);
 
 // Same forward under InferenceGuard: no graph, workspace-pooled buffers,
-// fused attention softmax — bit-identical outputs.
+// the same attention op — bit-identical outputs.
 void BM_ForwardNoGrad(benchmark::State& state) {
   const model::TransformerEncoder encoder(
       model::TransformerConfig::tiny(kVocab));

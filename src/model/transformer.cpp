@@ -124,20 +124,11 @@ AttentionContext AttentionContext::build(const Batch& batch,
     ctx.merge = std::move(merge);
   }
 
-  // Key-padding (and optionally causal) mask for score tensor [B*H, T, T]:
-  // element (bh, i, j) is valid iff token j of sequence b is real and, in
-  // causal mode, j <= i. Depends on the batch contents, so rebuilt per
-  // forward — but only once, not once per layer.
-  auto mask = std::make_shared<std::vector<float>>(bsz * heads * seq * seq);
-  std::size_t at = 0;
-  for (std::size_t b = 0; b < bsz; ++b)
-    for (std::size_t h = 0; h < heads; ++h)
-      for (std::size_t i = 0; i < seq; ++i)
-        for (std::size_t j = 0; j < seq; ++j)
-          (*mask)[at++] = (config.causal && j > i)
-                              ? 0.0f
-                              : batch.attention_mask[b * seq + j];
-  ctx.score_mask = std::move(mask);
+  // One key flag per (sequence, position), shared by every head and layer;
+  // attention_probs derives the causal triangle from the query position.
+  ctx.key_mask = {std::make_shared<const std::vector<float>>(
+                      batch.attention_mask),
+                  heads, config.causal};
   return ctx;
 }
 
@@ -151,24 +142,11 @@ Tensor EncoderBlock::forward(const Tensor& x, const AttentionContext& ctx,
 
   const float inv_sqrt_dk =
       1.0f / std::sqrt(static_cast<float>(ctx.head_dim));
-  Tensor attn;
-  if (nn::inference_mode()) {
-    // Fused scores+scale+mask+softmax: one pass, one buffer, no packed
-    // GEMM or transposed copy of k — bit-identical to the composed route
-    // below. The probabilities are still materialized so interpretability
-    // (last_attentions / attention rollout) sees the same maps.
-    attn = nn::attention_scores(q, k, ctx.score_mask, inv_sqrt_dk, -1e9f);
-  } else {
-    Tensor scores = nn::matmul(q, nn::transpose(k));
-    scores = nn::scale(scores, inv_sqrt_dk);
-    scores = nn::masked_fill(scores, ctx.score_mask, -1e9f);
-    attn = nn::softmax(scores);
-  }
+  Tensor attn = nn::attention_probs(q, k, ctx.key_mask, inv_sqrt_dk);
   last_attention_ = attn;
   attn = nn::dropout(attn, cfg.dropout, train, rng);
 
-  const Tensor context = nn::inference_mode() ? nn::attention_apply(attn, v)
-                                              : nn::matmul(attn, v);
+  const Tensor context = nn::matmul(attn, v);
   const Tensor merged = nn::remap(
       context, {ctx.batch_size * ctx.seq_len, cfg.d_model}, ctx.merge);
   Tensor attended = output_.forward(merged);
@@ -190,12 +168,12 @@ Tensor EncoderBlock::forward_incremental_batch(
   //    rows share the tensor, and the GEMM reduces K in a fixed serial
   //    order per output element regardless of blocking.
   //  - The per-(b, h) attention loops below reduce over the same index
-  //    ranges in the same order as the batched matmuls, with the j-th K/V
-  //    row looked up through the block table.
-  //  - In the full forward, causally masked score entries are set to
-  //    -1e9f, underflow to exactly 0.0f in exp(), and contribute +0.0f to
-  //    every sum — so attending over only the [0, t] prefix is
-  //    bit-identical to the masked full-row softmax.
+  //    ranges in the same order as attention_probs and matmul(attn, v),
+  //    with the j-th K/V row looked up through the block table.
+  //  - In the full forward, attention_probs leaves causally hidden keys
+  //    out of the max and the sum and writes them as exactly 0.0f, and a
+  //    0.0f weight adds +0.0f to the context — so attending over only the
+  //    [0, t] prefix is bit-identical to the full-row attention.
   const TransformerConfig& cfg = *config_;
   const std::size_t heads = cfg.num_heads;
   const std::size_t dk = cfg.head_dim();
@@ -243,8 +221,8 @@ Tensor EncoderBlock::forward_incremental_batch(
     for (std::size_t h = 0; h < heads; ++h) {
       const float* qh = qp + b * d_model + h * dk;
       // Scaled scores over the cached prefix, walked through the block
-      // table (same reduction order and multiply-after-dot as matmul +
-      // nn::scale).
+      // table (same reduction order and multiply-after-dot as
+      // attention_probs).
       for (std::size_t j = 0; j <= t; ++j) {
         float dot = 0.0f;
         const float* krow =
@@ -252,7 +230,8 @@ Tensor EncoderBlock::forward_incremental_batch(
         for (std::size_t c = 0; c < dk; ++c) dot += qh[c] * krow[c];
         s[j] = dot * scale;
       }
-      // Softmax over [0, t] — the identical row loop from nn::softmax.
+      // Softmax over [0, t] — the same values, in the same order, as
+      // attention_probs' row loop over the visible keys.
       float maxv = s[0];
       for (std::size_t j = 1; j <= t; ++j) maxv = std::max(maxv, s[j]);
       float total = 0.0f;

@@ -31,17 +31,17 @@ struct Batch {
 };
 
 /// Per-forward attention geometry shared by every encoder block: the head
-/// split/merge index maps and the key-padding/causal score mask are built
-/// once per batch in TransformerEncoder::forward instead of once per layer
-/// per forward. The maps depend only on (batch, seq, heads), so an encoder
-/// reuses them across forwards with the same geometry; the score mask also
-/// depends on the batch's attention_mask, so it is rebuilt per forward.
+/// split/merge index maps and the key mask are built once per batch in
+/// TransformerEncoder::forward instead of once per layer per forward. The
+/// maps depend only on (batch, seq, heads), so an encoder reuses them
+/// across forwards with the same geometry. The key mask is the batch's
+/// [B*T] attention_mask plus the head count and causal flag.
 struct AttentionContext {
   std::size_t batch_size = 0, seq_len = 0, heads = 0, head_dim = 0;
   nn::Shape headed;  // [B*H, T, head_dim]
   std::shared_ptr<const std::vector<std::size_t>> split;  // [B*T,D]->headed
   std::shared_ptr<const std::vector<std::size_t>> merge;  // headed->[B*T,D]
-  std::shared_ptr<const std::vector<float>> score_mask;   // [B*H, T, T]
+  nn::KeyMask key_mask;
 
   bool same_geometry(const Batch& batch,
                      const TransformerConfig& config) const noexcept;

@@ -1,5 +1,8 @@
 #include "net/flow.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/metrics.h"
 
 namespace netfm {
@@ -81,6 +84,8 @@ bool FlowTable::add(const Packet& packet) {
     flow.app = parsed->app;
   }
   flow.last_ts = packet.timestamp;
+  // Lowered by every packet, so out-of-order timestamps keep it a bound.
+  oldest_last_ts_ = std::min(oldest_last_ts_, packet.timestamp);
 
   FlowPacket fp;
   fp.timestamp = packet.timestamp;
@@ -125,21 +130,28 @@ bool FlowTable::add(const Packet& packet) {
 }
 
 void FlowTable::evict_idle(double now) {
+  // Every active flow has last_ts >= oldest_last_ts_, and subtraction is
+  // monotone, so when the bound is not idle no flow is: skip the scan.
+  if (!(now - oldest_last_ts_ > idle_timeout_)) return;
+  double oldest = std::numeric_limits<double>::infinity();
   for (auto it = active_.begin(); it != active_.end();) {
     if (now - it->second.last_ts > idle_timeout_) {
       finished_.push_back(std::move(it->second));
       it = active_.erase(it);
       note_flow_finished();
     } else {
+      oldest = std::min(oldest, it->second.last_ts);
       ++it;
     }
   }
+  oldest_last_ts_ = oldest;
 }
 
 void FlowTable::flush() {
   note_flow_finished(active_.size());
   for (auto& [key, flow] : active_) finished_.push_back(std::move(flow));
   active_.clear();
+  oldest_last_ts_ = std::numeric_limits<double>::infinity();
 }
 
 }  // namespace netfm

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -93,9 +94,13 @@ class FlowTable {
   std::size_t active_count() const noexcept { return active_.size(); }
 
  private:
+  /// Moves flows idle for longer than idle_timeout_ to finished_. Scans
+  /// the table only when oldest_last_ts_ says some flow may be idle.
   void evict_idle(double now);
 
   double idle_timeout_;
+  /// Lower bound on every active flow's last_ts (+inf when none).
+  double oldest_last_ts_ = std::numeric_limits<double>::infinity();
   std::unordered_map<FiveTuple, Flow, FiveTupleHash> active_;
   std::vector<Flow> finished_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 #include <unordered_set>
@@ -508,7 +509,11 @@ Tensor add_like(const Tensor& a, const Tensor& b, float sign) {
       if (broadcast) {
         // All rows reduce into `last` slots; stays serial so the
         // accumulation order is fixed (and race-free).
-        for (std::size_t i = 0; i < an; ++i) B.grad[i % last] += sign * g[i];
+        float* gb = B.grad.data();
+        for (std::size_t r = 0; r < an / last; ++r) {
+          const float* grow = g + r * last;
+          for (std::size_t j = 0; j < last; ++j) gb[j] += sign * grow[j];
+        }
       } else {
         float* gb = B.grad.data();
         parallel_elems(an, [=](std::size_t lo, std::size_t hi) {
@@ -672,121 +677,105 @@ Tensor softmax(const Tensor& a) {
   return Tensor(node);
 }
 
-Tensor attention_softmax(const Tensor& a,
-                         std::shared_ptr<const std::vector<float>> mask,
-                         float scale, float mask_value) {
-  check(mask != nullptr, "attention_softmax: null mask");
-  check(!a.requires_grad(),
-        "attention_softmax: inference-only; use scale/masked_fill/softmax "
-        "when gradients are needed");
-  const std::size_t n = a.size();
-  const std::size_t mn = mask->size();
-  check(mn == n || (mn > 0 && n % mn == 0),
-        "attention_softmax: mask length must divide tensor size");
-  const auto [rows, cols] = last_dim(a.shape());
-  auto node = make_node(a.shape(), {}, Init::kUninit);
-  const float* ap = a.data().data();
-  const float* mp = mask->data();
-  float* op = node->value.data();
-  // Single sweep per row: materialize the scaled+masked scores into the
-  // output, then the exact softmax row loop. Element-for-element this is
-  // the composed scale -> masked_fill -> softmax pipeline (same float ops
-  // in the same order), so results are bit-identical to that route — it
-  // just skips two intermediate buffers and two extra passes.
-  parallel_rows(rows, cols, [=, cols = cols](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      const float* in = ap + r * cols;
-      float* out = op + r * cols;
-      const std::size_t base = r * cols;
-      for (std::size_t c = 0; c < cols; ++c)
-        out[c] = mp[(base + c) % mn] != 0.0f ? in[c] * scale : mask_value;
-      float maxv = out[0];
-      for (std::size_t c = 1; c < cols; ++c) maxv = std::max(maxv, out[c]);
-      float total = 0.0f;
-      for (std::size_t c = 0; c < cols; ++c) {
-        out[c] = std::exp(out[c] - maxv);
-        total += out[c];
-      }
-      for (std::size_t c = 0; c < cols; ++c) out[c] /= total;
-    }
-  });
-  return Tensor(node);
-}
-
-Tensor attention_scores(const Tensor& q, const Tensor& k,
-                        std::shared_ptr<const std::vector<float>> mask,
-                        float scale, float mask_value) {
-  check(mask != nullptr, "attention_scores: null mask");
-  check(!q.requires_grad() && !k.requires_grad(),
-        "attention_scores: inference-only; use matmul/transpose/scale/"
-        "masked_fill/softmax when gradients are needed");
-  check(q.shape().size() == 3 && q.shape() == k.shape(),
-        "attention_scores: q and k must share a [BH, T, dk] shape");
+Tensor attention_probs(const Tensor& q, const Tensor& k, const KeyMask& mask,
+                       float scale) {
+  check(q.rank() == 3 && q.shape() == k.shape(),
+        "attention_probs: q and k must share a [BH, T, dk] shape");
   const std::size_t bh = q.dim(0), t = q.dim(1), dk = q.dim(2);
-  const std::size_t n = bh * t * t;
-  const std::size_t mn = mask->size();
-  check(mn == n || (mn > 0 && n % mn == 0),
-        "attention_scores: mask length must divide score count");
-  auto node = make_node({bh, t, t}, {}, Init::kUninit);
+  const std::size_t heads = mask.heads;
+  check(mask.key_valid != nullptr && heads > 0 && bh % heads == 0 &&
+            mask.key_valid->size() == bh / heads * t,
+        "attention_probs: key_valid must hold one flag per (sequence, key)");
+  auto node = make_node({bh, t, t}, {q.node(), k.node()}, Init::kUninit);
   const float* qp = q.data().data();
   const float* kp = k.data().data();
-  const float* mp = mask->data();
+  const float* kv = mask.key_valid->data();
+  const bool causal = mask.causal;
   float* op = node->value.data();
-  // Lane by lane, scores = q_lane * k_lane^T through the dispatched packed
-  // GEMM — dk reduces serially in ascending order, the exact dot the old
-  // fused loop computed — then one parallel pass applies scale/mask and the
-  // exact softmax row loop from attention_softmax. Masked scores are
-  // computed and then overwritten; the skip-the-dot route produced the same
-  // values, so this stays bit-identical to the composed matmul/transpose/
-  // scale/masked_fill/softmax pipeline while the dots run on the SIMD
-  // backend.
-  for (std::size_t lane = 0; lane < bh; ++lane) {
-    gemm<false>(t, t, dk, MatRef{qp + lane * t * dk, dk, 1},
-                MatRef{kp + lane * t * dk, 1, dk}, op + lane * t * t,
-                /*allow_parallel=*/true);
-  }
+  // Key j is visible to query row r (lane r / t, position r % t) iff its
+  // sequence marks it real and, when causal, it is not after the query.
+  const auto visible = [=](std::size_t r, std::size_t j) {
+    return (!causal || j <= r % t) && kv[r / t / heads * t + j] != 0.0f;
+  };
+  // Same lane fan-out and per-lane GEMM as the batched matmul.
+  const std::size_t lane_grain =
+      bh * t * t * dk >= kGemmParallelCutoff ? 1 : bh;
+  ThreadPool::global().parallel_for(
+      0, bh, lane_grain, [=](std::size_t lo, std::size_t hi) {
+        for (std::size_t lane = lo; lane < hi; ++lane)
+          gemm<false>(t, t, dk, {qp + lane * t * dk, dk, 1},
+                      {kp + lane * t * dk, 1, dk}, op + lane * t * t,
+                      /*allow_parallel=*/false);
+      });
+  // Softmax over the visible keys only, in ascending key order: the max
+  // and the sum see the same values, in the same order, as a full-row
+  // softmax whose hidden entries contribute exp(-1e9 - max) == +0.
   parallel_rows(bh * t, t, [=](std::size_t lo, std::size_t hi) {
     for (std::size_t r = lo; r < hi; ++r) {
       float* out = op + r * t;
-      const std::size_t base = r * t;
-      for (std::size_t j = 0; j < t; ++j)
-        out[j] = mp[(base + j) % mn] != 0.0f ? out[j] * scale : mask_value;
-      float maxv = out[0];
-      for (std::size_t j = 1; j < t; ++j) maxv = std::max(maxv, out[j]);
+      float maxv = -std::numeric_limits<float>::infinity();
+      bool any_visible = false;
+      for (std::size_t j = 0; j < t; ++j) {
+        if (!visible(r, j)) continue;
+        out[j] *= scale;
+        maxv = std::max(maxv, out[j]);
+        any_visible = true;
+      }
+      if (!any_visible) {
+        std::fill_n(out, t, 1.0f / static_cast<float>(t));
+        continue;
+      }
       float total = 0.0f;
       for (std::size_t j = 0; j < t; ++j) {
-        out[j] = std::exp(out[j] - maxv);
+        out[j] = visible(r, j) ? std::exp(out[j] - maxv) : 0.0f;
         total += out[j];
       }
       for (std::size_t j = 0; j < t; ++j) out[j] /= total;
     }
   });
-  return Tensor(node);
-}
 
-Tensor attention_apply(const Tensor& attn, const Tensor& v) {
-  check(!attn.requires_grad() && !v.requires_grad(),
-        "attention_apply: inference-only; use matmul when gradients are "
-        "needed");
-  check(attn.shape().size() == 3 && v.shape().size() == 3 &&
-            attn.dim(0) == v.dim(0) && attn.dim(1) == v.dim(1) &&
-            attn.dim(2) == v.dim(1),
-        "attention_apply: attn [BH, T, T] and v [BH, T, dk] required");
-  const std::size_t bh = attn.dim(0), t = attn.dim(1), dk = v.dim(2);
-  auto node = make_node({bh, t, dk}, {}, Init::kUninit);
-  const float* ap = attn.data().data();
-  const float* vp = v.data().data();
-  float* op = node->value.data();
-  // Lane by lane, context = attn_lane * v_lane through the dispatched
-  // packed GEMM. Per output element it accumulates attn[i, j] * v[j, c]
-  // over j in ascending order — the batched GEMM's fixed serial
-  // K-reduction — so the result matches matmul(attn, v) element for
-  // element on every backend.
-  for (std::size_t lane = 0; lane < bh; ++lane) {
-    gemm<false>(t, dk, t, MatRef{ap + lane * t * t, t, 1},
-                MatRef{vp + lane * t * dk, dk, 1}, op + lane * t * dk,
-                /*allow_parallel=*/true);
-  }
+  // `owner` keeps the flags behind `visible`'s raw pointer alive.
+  set_backward(node, [=, owner = mask.key_valid](TensorNode& self) {
+    TensorNode& Q = *self.parents[0];
+    TensorNode& K = *self.parents[1];
+    const float* yp = self.value.data();
+    const float* gp = self.grad.data();
+    // dS = softmax backward restricted to the visible keys, times scale.
+    // The `0.0f +` is the composed route's accumulation into a zeroed
+    // gradient buffer (it turns -0 into +0), kept so the bits match.
+    FloatBuffer ds(bh * t * t);
+    float* dsp = ds.data();
+    parallel_rows(bh * t, t, [=](std::size_t lo, std::size_t hi) {
+      for (std::size_t r = lo; r < hi; ++r) {
+        const float* y = yp + r * t;
+        const float* g = gp + r * t;
+        float* d = dsp + r * t;
+        float dot = 0.0f;
+        for (std::size_t j = 0; j < t; ++j)
+          if (visible(r, j)) dot += y[j] * g[j];
+        for (std::size_t j = 0; j < t; ++j)
+          d[j] = visible(r, j) ? (0.0f + y[j] * (g[j] - dot)) * scale : 0.0f;
+      }
+    });
+    const float* qv = Q.value.data();
+    const float* kvals = K.value.data();
+    float* gq = Q.requires_grad ? Q.grad.data() : nullptr;
+    float* gk = K.requires_grad ? K.grad.data() : nullptr;
+    ThreadPool::global().parallel_for(
+        0, bh, lane_grain, [=](std::size_t lo, std::size_t hi) {
+          for (std::size_t lane = lo; lane < hi; ++lane) {
+            const float* dl = dsp + lane * t * t;
+            const std::size_t off = lane * t * dk;
+            // dq (t x dk) += dS (t x t) · k;  dk (t x dk) += dSᵀ · q.
+            if (gq)
+              gemm<true>(t, dk, t, {dl, t, 1}, {kvals + off, dk, 1}, gq + off,
+                         false);
+            if (gk)
+              gemm<true>(t, dk, t, {dl, 1, t}, {qv + off, dk, 1}, gk + off,
+                         false);
+          }
+        });
+  });
   return Tensor(node);
 }
 
@@ -1137,43 +1126,6 @@ Tensor remap(const Tensor& a, Shape out_shape,
     if (!A.requires_grad) return;
     for (std::size_t i = 0; i < map->size(); ++i)
       A.grad[(*map)[i]] += self.grad[i];
-  });
-  return Tensor(node);
-}
-
-Tensor masked_fill(const Tensor& a, std::span<const float> mask,
-                   float mask_value) {
-  return masked_fill(
-      a, std::make_shared<const std::vector<float>>(mask.begin(), mask.end()),
-      mask_value);
-}
-
-Tensor masked_fill(const Tensor& a,
-                   std::shared_ptr<const std::vector<float>> mask,
-                   float mask_value) {
-  check(mask != nullptr, "masked_fill: null mask");
-  const std::size_t n = a.size();
-  const std::size_t mn = mask->size();
-  check(mn == n || (mn > 0 && n % mn == 0),
-        "masked_fill: mask length must divide tensor size");
-  auto node = make_node(a.shape(), {a.node()}, Init::kUninit);
-  const float* ap = a.data().data();
-  const float* mp = mask->data();
-  float* op = node->value.data();
-  parallel_elems(n, [=](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i)
-      op[i] = mp[i % mn] != 0.0f ? ap[i] : mask_value;
-  });
-  set_backward(node, [mask, n, mn](TensorNode& self) {
-    TensorNode& A = *self.parents[0];
-    if (!A.requires_grad) return;
-    const float* g = self.grad.data();
-    const float* mp = mask->data();
-    float* ga = A.grad.data();
-    parallel_elems(n, [=](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i)
-        if (mp[i % mn] != 0.0f) ga[i] += g[i];
-    });
   });
   return Tensor(node);
 }

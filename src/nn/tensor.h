@@ -189,38 +189,26 @@ Tensor sigmoid(const Tensor& a);
 /// Softmax over the last dimension.
 Tensor softmax(const Tensor& a);
 
-/// Fused scale -> masked_fill -> softmax over the last dimension: the
-/// attention-score pipeline collapsed into one pass (one output buffer
-/// instead of three, one sweep instead of three). Element-for-element it
-/// computes exactly what the composed ops compute, so results are
-/// bit-identical to that route. Inference-only: no backward is defined, so
-/// `a` must not require grad (use the composed ops when training).
-Tensor attention_softmax(const Tensor& a,
-                         std::shared_ptr<const std::vector<float>> mask,
-                         float scale, float mask_value);
+/// Which keys each attention query may see, stored per key rather than per
+/// score: one flag per (sequence, position), shared by every head and every
+/// query row. `heads` maps a [B*H, T, *] lane to its sequence (lane / heads);
+/// `causal` also hides every key after the query position.
+struct KeyMask {
+  std::shared_ptr<const std::vector<float>> key_valid;  // [B*T]; 0 = hidden
+  std::size_t heads = 1;
+  bool causal = false;
+};
 
-/// Fused attention-probability kernel: q [BH, T, dk] x k [BH, T, dk] ->
-/// softmax(mask(scale(q k^T))) [BH, T, T] with no intermediate score
-/// tensors. Each lane's scores run through the dispatched backend GEMM
-/// against a strided (non-copied) view of k^T, reducing over dk in the
-/// same serial order the batched matmul uses per output element, followed
-/// by the exact attention_softmax row loop — so the result is
-/// bit-identical to matmul(q, transpose(k)) -> scale -> masked_fill ->
-/// softmax on every backend. The mask has one float per score (BH*T*T) or
-/// per broadcastable suffix of it. Inference-only: no backward is defined,
-/// so inputs must not require grad.
-Tensor attention_scores(const Tensor& q, const Tensor& k,
-                        std::shared_ptr<const std::vector<float>> mask,
-                        float scale, float mask_value);
-
-/// Fused attention-context kernel: attn [BH, T, T] x v [BH, T, dk] ->
-/// [BH, T, dk], one dispatched backend GEMM per lane writing straight into
-/// the output (no per-lane tensor views or graph nodes). Per output
-/// element it reduces over the T keys in ascending order — the batched
-/// matmul's serial order — so the result is bit-identical to
-/// matmul(attn, v) on every backend. Inference-only: no backward is
-/// defined, so inputs must not require grad.
-Tensor attention_apply(const Tensor& attn, const Tensor& v);
+/// Attention probabilities softmax(scale * q k^T) over the visible keys:
+/// q, k [B*H, T, dk] -> [B*H, T, T]. Each lane's scores run through the
+/// blocked GEMM against a strided (non-copied) view of k^T, reducing over
+/// dk in the same serial order as matmul(q, transpose(k)). Hidden keys get
+/// exactly 0 and no exp; a row with no visible key is uniform 1/T. That is
+/// bit-identical to filling hidden scores with -1e9 before a full-row
+/// softmax, whose exp underflows to exactly 0 there. Differentiable in q
+/// and k; hidden keys pass no gradient.
+Tensor attention_probs(const Tensor& q, const Tensor& k, const KeyMask& mask,
+                       float scale);
 
 /// Log-softmax over the last dimension (numerically stable).
 Tensor log_softmax(const Tensor& a);
@@ -262,18 +250,6 @@ Tensor mean_rows(const Tensor& a);
 /// This is the primitive behind head split/merge permutations in attention.
 Tensor remap(const Tensor& a, Shape out_shape,
              std::shared_ptr<const std::vector<std::size_t>> map);
-
-/// Adds `mask_value` where mask==0. `mask` is not differentiated.
-/// Shapes: a [.., N], mask length N (broadcast) or same numel as `a`.
-Tensor masked_fill(const Tensor& a, std::span<const float> mask,
-                   float mask_value);
-
-/// As above, but shares ownership of the mask instead of copying it —
-/// callers that apply one mask across many layers (attention) build it
-/// once and pass the same pointer every time.
-Tensor masked_fill(const Tensor& a,
-                   std::shared_ptr<const std::vector<float>> mask,
-                   float mask_value);
 
 /// Cross-entropy between logits [N, C] and integer targets (len N).
 /// Targets < 0 are ignored (masked LM convention). Returns scalar mean.

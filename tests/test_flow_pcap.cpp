@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "net/flow.h"
 #include "net/pcap.h"
@@ -115,6 +119,108 @@ TEST(FlowTable, RejectsUnparseable) {
   Packet junk;
   junk.frame = {1, 2, 3};
   EXPECT_FALSE(table.add(junk));
+}
+
+/// Reference flow table: the same keying and TCP lifecycle as FlowTable,
+/// but it scans every active flow for idleness on every packet. Records
+/// each finished flow's key and packet count, in finishing order.
+class FullScanFlowTable {
+ public:
+  explicit FullScanFlowTable(double idle_timeout)
+      : idle_timeout_(idle_timeout) {}
+
+  void add(const Packet& packet) {
+    const auto parsed = parse_packet(BytesView{packet.frame});
+    if (!parsed) return;
+    const auto tuple = FiveTuple::from_packet(*parsed);
+    if (!tuple) return;
+    for (auto it = active_.begin(); it != active_.end();) {
+      if (packet.timestamp - it->second.last_ts > idle_timeout_) {
+        finished_.emplace_back(it->second.key, it->second.packets);
+        it = active_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    auto [it, inserted] = active_.try_emplace(tuple->canonical());
+    Entry& flow = it->second;
+    if (inserted) flow.key = *tuple;
+    flow.last_ts = packet.timestamp;
+    ++flow.packets;
+    if (!parsed->tcp) return;
+    const TcpHeader& tcp = *parsed->tcp;
+    const bool was_closed = flow.state == TcpState::kClosed;
+    if (tcp.has(TcpFlags::kRst)) {
+      flow.state = TcpState::kReset;
+    } else if (tcp.has(TcpFlags::kSyn) && !tcp.has(TcpFlags::kAck)) {
+      flow.state = TcpState::kSynSent;
+    } else if (flow.state == TcpState::kSynSent && tcp.has(TcpFlags::kAck)) {
+      flow.state = TcpState::kEstablished;
+    } else if (tcp.has(TcpFlags::kFin)) {
+      flow.state = flow.state == TcpState::kFinWait ? TcpState::kClosed
+                                                    : TcpState::kFinWait;
+    }
+    if (flow.state == TcpState::kReset ||
+        (was_closed && !tcp.has(TcpFlags::kFin) &&
+         !tcp.has(TcpFlags::kSyn))) {
+      finished_.emplace_back(flow.key, flow.packets);
+      active_.erase(it);
+    }
+  }
+
+  void flush() {
+    for (const auto& [key, flow] : active_)
+      finished_.emplace_back(flow.key, flow.packets);
+    active_.clear();
+  }
+
+  const std::vector<std::pair<FiveTuple, std::size_t>>& finished() const {
+    return finished_;
+  }
+
+ private:
+  struct Entry {
+    FiveTuple key;
+    double last_ts = 0.0;
+    std::size_t packets = 0;
+    TcpState state = TcpState::kNone;
+  };
+  double idle_timeout_;
+  std::unordered_map<FiveTuple, Entry, FiveTupleHash> active_;
+  std::vector<std::pair<FiveTuple, std::size_t>> finished_;
+};
+
+TEST(FlowTable, IdleEvictionMatchesFullScanReference) {
+  const auto trace = gen::quick_trace(30.0, 23);
+  std::vector<Packet> out_of_order = trace.interleaved;
+  ASSERT_GT(out_of_order.size(), 100u);
+  // One packet stamped well before its neighbours, as in a pcap merged
+  // from two capture points.
+  out_of_order[out_of_order.size() / 2].timestamp -= 4.0;
+
+  const std::vector<Packet>* inputs[] = {&trace.interleaved, &out_of_order};
+  for (const std::vector<Packet>* packets : inputs) {
+    for (const double timeout : {0.25, 1.0, 5.0}) {
+      SCOPED_TRACE("timeout " + std::to_string(timeout));
+      FlowTable table(timeout);
+      FullScanFlowTable reference(timeout);
+      for (const Packet& p : *packets) {
+        table.add(p);
+        reference.add(p);
+      }
+      EXPECT_GT(table.finished().size(), 0u);  // some finished before flush
+      table.flush();
+      reference.flush();
+      ASSERT_EQ(table.finished().size(), reference.finished().size());
+      for (std::size_t i = 0; i < table.finished().size(); ++i) {
+        EXPECT_EQ(table.finished()[i].key, reference.finished()[i].first)
+            << "flow " << i;
+        EXPECT_EQ(table.finished()[i].packet_count(),
+                  reference.finished()[i].second)
+            << "flow " << i;
+      }
+    }
+  }
 }
 
 TEST(Pcap, RoundTripInMemory) {

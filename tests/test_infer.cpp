@@ -1,5 +1,5 @@
 // Inference fast path: no-grad execution, the per-thread workspace, the
-// fused attention softmax, KV-cached decoding, and batched embedding.
+// attention-probability op, KV-cached decoding, and batched embedding.
 //
 // The fast path's contract is *bitwise* equivalence with the recording
 // route: every test here compares floats with exact equality, and the
@@ -120,87 +120,84 @@ TEST(InferenceGuard, ForwardBitwiseEqualsGradRoute) {
   });
 }
 
-TEST(AttentionSoftmax, BitwiseEqualsComposedOps) {
-  Rng rng(23);
-  const std::size_t rows = 6, cols = 10;
-  const Tensor scores = Tensor::randn({rows, cols}, rng, 2.0f, false);
-  auto mask = std::make_shared<std::vector<float>>(rows * cols, 1.0f);
-  // Mask a causal-ish ragged tail in each row.
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t c = cols - 1 - r % 3; c < cols; ++c)
-      (*mask)[r * cols + c] = 0.0f;
-  const float kScale = 0.3535f;
-
-  const Tensor composed = nn::softmax(
-      nn::masked_fill(nn::scale(scores, kScale), mask, -1e9f));
-  with_thread_counts([&] {
-    const Tensor fused = nn::attention_softmax(scores, mask, kScale, -1e9f);
-    for (std::size_t i = 0; i < fused.size(); ++i)
-      ASSERT_EQ(fused.data()[i], composed.data()[i]) << "element " << i;
-  });
-}
-
-TEST(AttentionSoftmax, RejectsGradInput) {
-  Rng rng(5);
-  const Tensor scores = Tensor::randn({2, 4}, rng, 1.0f, true);
-  auto mask = std::make_shared<std::vector<float>>(8, 1.0f);
-  EXPECT_THROW(nn::attention_softmax(scores, mask, 1.0f, -1e9f),
-               std::invalid_argument);
-}
-
-TEST(AttentionScores, BitwiseEqualsComposedOps) {
+TEST(AttentionProbs, BitwiseEqualsComposedOps) {
+  // Oracle: the composed route matmul(q, k^T) -> scale -> hidden scores
+  // set to -1e9 (mul by 1/0, add 0/-1e9) -> full-row softmax. Sequence 0
+  // sees every key, sequence 1 has a ragged padded tail, and sequence 2 is
+  // all padding (its rows must come out uniform).
+  const std::size_t bsz = 3, heads = 4, t = 16, dk = 16, bh = bsz * heads;
+  const float kScale = 0.25f;
   Rng rng(31);
-  const std::size_t bh = 6, t = 9, dk = 8;
   const Tensor q = Tensor::randn({bh, t, dk}, rng, 1.0f, false);
   const Tensor k = Tensor::randn({bh, t, dk}, rng, 1.0f, false);
-  // Ragged key-padding mask plus a causal-style upper triangle.
-  auto mask = std::make_shared<std::vector<float>>(bh * t * t, 1.0f);
-  for (std::size_t lane = 0; lane < bh; ++lane)
-    for (std::size_t i = 0; i < t; ++i)
-      for (std::size_t j = 0; j < t; ++j)
-        if (j > i || j >= t - lane % 3)
-          (*mask)[(lane * t + i) * t + j] = 0.0f;
-  const float kScale = 0.3535f;
+  const Tensor weights = Tensor::randn({bh, t, t}, rng, 1.0f, false);
+  auto key_valid = std::make_shared<std::vector<float>>(bsz * t, 1.0f);
+  for (std::size_t j = 11; j < t; ++j) (*key_valid)[t + j] = 0.0f;
+  for (std::size_t j = 0; j < t; ++j) (*key_valid)[2 * t + j] = 0.0f;
 
-  const Tensor composed = nn::softmax(nn::masked_fill(
-      nn::scale(nn::matmul(q, nn::transpose(k)), kScale), mask, -1e9f));
-  with_thread_counts([&] {
-    const Tensor fused = nn::attention_scores(q, k, mask, kScale, -1e9f);
-    ASSERT_EQ(fused.shape(), composed.shape());
-    for (std::size_t i = 0; i < fused.size(); ++i)
-      ASSERT_EQ(fused.data()[i], composed.data()[i]) << "element " << i;
-  });
+  const auto leaf = [](const Tensor& src) {
+    const std::vector<float> values(src.data().begin(), src.data().end());
+    return Tensor(src.shape(), values, /*requires_grad=*/true);
+  };
+  const auto expect_bitwise = [](std::span<const float> got,
+                                 std::span<const float> want,
+                                 const char* what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], want[i]) << what << " element " << i;
+  };
+
+  for (const bool causal : {false, true}) {
+    SCOPED_TRACE(causal ? "causal" : "bidirectional");
+    std::vector<float> keep(bh * t * t), fill(bh * t * t);
+    for (std::size_t lane = 0; lane < bh; ++lane)
+      for (std::size_t i = 0; i < t; ++i)
+        for (std::size_t j = 0; j < t; ++j) {
+          const bool visible = (!causal || j <= i) &&
+                               (*key_valid)[lane / heads * t + j] != 0.0f;
+          keep[(lane * t + i) * t + j] = visible ? 1.0f : 0.0f;
+          fill[(lane * t + i) * t + j] = visible ? 0.0f : -1e9f;
+        }
+    const Tensor keep_t({bh, t, t}, keep), fill_t({bh, t, t}, fill);
+    Tensor oq = leaf(q), ok = leaf(k);
+    const Tensor oracle = nn::softmax(nn::add(
+        nn::mul(nn::scale(nn::matmul(oq, nn::transpose(ok)), kScale), keep_t),
+        fill_t));
+    nn::sum(nn::mul(oracle, weights)).backward();
+
+    const nn::KeyMask mask{key_valid, heads, causal};
+    with_thread_counts([&] {
+      Tensor fq = leaf(q), fk = leaf(k);
+      const Tensor probs = nn::attention_probs(fq, fk, mask, kScale);
+      expect_bitwise(probs.data(), oracle.data(), "probs");
+      nn::sum(nn::mul(probs, weights)).backward();
+      expect_bitwise(fq.grad(), oq.grad(), "q.grad");
+      expect_bitwise(fk.grad(), ok.grad(), "k.grad");
+      for (std::size_t i = 2 * heads * t * t; i < probs.size(); ++i)
+        ASSERT_EQ(probs.data()[i], 1.0f / static_cast<float>(t));
+
+      nn::InferenceGuard guard;
+      const Tensor fast = nn::attention_probs(q, k, mask, kScale);
+      EXPECT_FALSE(fast.requires_grad());
+      expect_bitwise(fast.data(), oracle.data(), "no-grad probs");
+    });
+  }
 }
 
-TEST(AttentionScores, RejectsGradInput) {
+TEST(AttentionProbs, RejectsMisSizedKeyMask) {
   Rng rng(7);
-  const Tensor q = Tensor::randn({2, 3, 4}, rng, 1.0f, true);
-  const Tensor k = Tensor::randn({2, 3, 4}, rng, 1.0f, false);
-  auto mask = std::make_shared<std::vector<float>>(2 * 3 * 3, 1.0f);
-  EXPECT_THROW(nn::attention_scores(q, k, mask, 1.0f, -1e9f),
+  const Tensor q = Tensor::randn({4, 3, 4}, rng, 1.0f, true);
+  const Tensor k = Tensor::randn({4, 3, 4}, rng, 1.0f, false);
+  // Two sequences x two heads x three keys needs six flags.
+  auto short_mask = std::make_shared<const std::vector<float>>(5, 1.0f);
+  EXPECT_THROW(nn::attention_probs(q, k, {short_mask, 2, false}, 1.0f),
                std::invalid_argument);
-}
-
-TEST(AttentionApply, BitwiseEqualsBatchedMatmul) {
-  Rng rng(37);
-  const std::size_t bh = 5, t = 11, dk = 8;
-  const Tensor attn = Tensor::randn({bh, t, t}, rng, 1.0f, false);
-  const Tensor v = Tensor::randn({bh, t, dk}, rng, 1.0f, false);
-
-  const Tensor reference = nn::matmul(attn, v);
-  with_thread_counts([&] {
-    const Tensor fused = nn::attention_apply(attn, v);
-    ASSERT_EQ(fused.shape(), reference.shape());
-    for (std::size_t i = 0; i < fused.size(); ++i)
-      ASSERT_EQ(fused.data()[i], reference.data()[i]) << "element " << i;
-  });
-}
-
-TEST(AttentionApply, RejectsGradInput) {
-  Rng rng(7);
-  const Tensor attn = Tensor::randn({2, 3, 3}, rng, 1.0f, true);
-  const Tensor v = Tensor::randn({2, 3, 4}, rng, 1.0f, false);
-  EXPECT_THROW(nn::attention_apply(attn, v), std::invalid_argument);
+  auto mask = std::make_shared<const std::vector<float>>(6, 1.0f);
+  EXPECT_THROW(nn::attention_probs(q, k, {mask, 3, false}, 1.0f),
+               std::invalid_argument);
+  EXPECT_THROW(nn::attention_probs(q, k, {nullptr, 2, false}, 1.0f),
+               std::invalid_argument);
+  EXPECT_NO_THROW(nn::attention_probs(q, k, {mask, 2, true}, 1.0f));
 }
 
 TEST(KvCache, DecodeBitwiseEqualsFullRecompute) {

@@ -2,7 +2,7 @@
 //
 // The dispatch contract (nn/kernels/kernels.h) is that every SIMD backend
 // is *bitwise* equal to the scalar oracle on the fp32 route — GEMM,
-// backward, fused attention, batched and incremental — and that the int8
+// backward, the encoder forward, batched and incremental — and that the int8
 // quantized inference route is deterministic across backends (exact int32
 // accumulation) with logits within a small bound of fp32. Every test here
 // compares across all backends available on the running CPU, under both a

@@ -124,7 +124,8 @@ TEST_F(MetricsTest, ScopedTimerRecordsElapsed) {
     volatile double sink = 0;
     for (int i = 0; i < 10000; ++i) sink = sink + i;
   }
-  const auto* data = histogram_data(metrics::snapshot(), "test.timer.ns");
+  const metrics::Snapshot snap = metrics::snapshot();
+  const auto* data = histogram_data(snap, "test.timer.ns");
   ASSERT_NE(data, nullptr);
   EXPECT_EQ(data->count, 1u);
   EXPECT_GT(data->sum, 0.0);

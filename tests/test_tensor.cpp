@@ -5,6 +5,8 @@
 #include <array>
 #include <cmath>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "nn/tensor.h"
 
@@ -275,14 +277,22 @@ TEST(Autograd, RemapGradientWithRepeats) {
   check_gradients(a, [&] { return sum(remap(a, {6}, map)); });
 }
 
-TEST(Autograd, MaskedFillBlocksGradient) {
-  Tensor a = make_input({2, 3}, 28);
-  const std::vector<float> mask = {1.0f, 0.0f, 1.0f};
-  Tensor loss = sum(masked_fill(a, mask, -5.0f));
-  loss.backward();
-  EXPECT_FLOAT_EQ(a.grad()[1], 0.0f);
-  EXPECT_FLOAT_EQ(a.grad()[4], 0.0f);
-  EXPECT_FLOAT_EQ(a.grad()[0], 1.0f);
+TEST(Autograd, AttentionProbsBlocksHiddenKeyGradient) {
+  // One sequence of 4 keys, key 2 padded; 2 heads, causal.
+  Tensor q = make_input({2, 4, 3}, 28);
+  Tensor k = make_input({2, 4, 3}, 31);
+  const KeyMask mask{std::make_shared<const std::vector<float>>(
+                         std::vector<float>{1.0f, 1.0f, 0.0f, 1.0f}),
+                     2, true};
+  const Tensor w = make_input({2, 4, 4}, 32);
+  const auto loss = [&] {
+    return sum(mul(attention_probs(q, k, mask, 0.7f), w));
+  };
+  check_gradients(q, loss);
+  check_gradients(k, loss);
+  for (std::size_t lane = 0; lane < 2; ++lane)
+    for (std::size_t c = 0; c < 3; ++c)
+      EXPECT_EQ(k.grad()[(lane * 4 + 2) * 3 + c], 0.0f);
 }
 
 TEST(Autograd, MeanSumMeanRowsGradients) {
