@@ -13,8 +13,7 @@
 //   - every failed request carries a *typed* answer (a named RejectReason
 //     or a non-empty error string) — no silent drops, no empty errors;
 //   - every fault-free reply is bitwise identical to a direct library
-//     call (fp32 or int8-quant route, whichever the degradation ladder
-//     had active);
+//     call (no degradation level changes the numerics);
 //   - all five fault points actually fired (a soak that never faulted
 //     proves nothing);
 //   - /healthz stays live throughout and /drainz completes a bounded
@@ -37,7 +36,6 @@
 #include "common/metrics.h"
 #include "core/traffic_lm.h"
 #include "harness/bench_util.h"
-#include "nn/quant.h"
 #include "serve/protocol.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
@@ -164,11 +162,6 @@ std::uint64_t counter_or_zero(const metrics::Snapshot& snap,
   return 0;
 }
 
-bool float_match(const std::vector<float>& got,
-                 const std::vector<float>& a, const std::vector<float>& b) {
-  return got == a || got == b;
-}
-
 }  // namespace
 
 int main() {
@@ -198,26 +191,15 @@ int main() {
   const core::TrafficLM lm(vocab, config);
   const std::vector<SessionPlan> plans = make_plans(corpus, vocab, kSessions);
 
-  // Bitwise references for every session, on BOTH inference routes: the
-  // degradation ladder may flip the process to the int8 quant GEMM
-  // mid-soak, so a fault-free reply must match exactly one of the two.
-  // Computed before the fault Scope is installed (no injected noise) and
-  // with no scheduler running (batched forwards are single-driver).
-  const bool quant_configured = nn::quant::enabled();
-  std::vector<std::vector<float>> ref_logits_fp32(kSessions),
-      ref_logits_quant(kSessions);
-  std::vector<double> ref_score_fp32(kSessions), ref_score_quant(kSessions);
-  nn::quant::set_enabled(false);
+  // Bitwise references for every session. Computed before the fault
+  // Scope is installed (no injected noise) and with no scheduler running
+  // (batched forwards are single-driver).
+  std::vector<std::vector<float>> ref_logits(kSessions);
+  std::vector<double> ref_score(kSessions);
   for (std::size_t s = 0; s < kSessions; ++s) {
-    ref_logits_fp32[s] = lm.next_logits(plans[s].ids);
-    ref_score_fp32[s] = lm.score(plans[s].tokens);
+    ref_logits[s] = lm.next_logits(plans[s].ids);
+    ref_score[s] = lm.score(plans[s].tokens);
   }
-  nn::quant::set_enabled(true);
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    ref_logits_quant[s] = lm.next_logits(plans[s].ids);
-    ref_score_quant[s] = lm.score(plans[s].tokens);
-  }
-  nn::quant::set_enabled(quant_configured);
 
   serve::SchedulerOptions scheduler_options;
   scheduler_options.max_queue = 512;
@@ -288,12 +270,9 @@ int main() {
                 case serve::Reply::Status::kOk: {
                   completed.fetch_add(1);
                   const std::size_t kind = (round + s) % 3;
-                  if (kind == 0 &&
-                      !float_match(reply.logits, ref_logits_fp32[s],
-                                   ref_logits_quant[s]))
+                  if (kind == 0 && reply.logits != ref_logits[s])
                     mismatches.fetch_add(1);
-                  if (kind == 1 && reply.score != ref_score_fp32[s] &&
-                      reply.score != ref_score_quant[s])
+                  if (kind == 1 && reply.score != ref_score[s])
                     mismatches.fetch_add(1);
                   break;
                 }
@@ -364,14 +343,9 @@ int main() {
             }
             if (status == 200 && reply->status == serve::Reply::Status::kOk) {
               completed.fetch_add(1);
-              if (score_op) {
-                if (reply->score != ref_score_fp32[s] &&
-                    reply->score != ref_score_quant[s])
-                  mismatches.fetch_add(1);
-              } else if (!float_match(reply->logits, ref_logits_fp32[s],
-                                      ref_logits_quant[s])) {
+              if (score_op ? reply->score != ref_score[s]
+                           : reply->logits != ref_logits[s])
                 mismatches.fetch_add(1);
-              }
             } else if (status == 503 &&
                        reply->status == serve::Reply::Status::kRejected) {
               typed_rejects.fetch_add(1);

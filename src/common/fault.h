@@ -27,7 +27,7 @@
 //   core.pretrain.crash            crash (throw/exit) inside the step loop
 //   core.finetune.loss / .crash    same for fine-tuning
 //   core.lm.loss / .crash          same for TrafficLM training
-//   core.decode.crash              crash inside LmDecoder::advance
+//   core.decode.crash              crash inside LmDecoder::advance_batch
 //   nn.workspace.oom               Workspace::acquire throws bad_alloc
 //   data.shard.corrupt             a corpus shard fails validation at open
 //   data.mmap.fail                 MappedFile::open reports failure

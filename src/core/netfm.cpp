@@ -442,26 +442,7 @@ int NetFM::predict(const std::vector<std::string>& context,
 
 std::vector<float> NetFM::embed(const std::vector<std::string>& context,
                                 std::size_t max_seq_len) const {
-  const std::size_t seq_len =
-      std::min(max_seq_len, encoder_->config().max_seq_len);
-  const Encoded item = encode_context(context, vocab_, seq_len);
-  const Batch batch = make_batch(std::span<const Encoded>(&item, 1));
-  const nn::InferenceGuard guard;
-  const Tensor hidden = encoder_->forward(batch, /*train=*/false);
-
-  // Mean over real (non-padding) positions.
-  const std::size_t d_model = encoder_->config().d_model;
-  std::vector<float> out(d_model, 0.0f);
-  float count = 0.0f;
-  for (std::size_t t = 0; t < batch.seq_len; ++t) {
-    if (batch.attention_mask[t] == 0.0f) continue;
-    for (std::size_t d = 0; d < d_model; ++d)
-      out[d] += hidden.data()[t * d_model + d];
-    count += 1.0f;
-  }
-  if (count > 0.0f)
-    for (float& v : out) v /= count;
-  return out;
+  return std::move(embed_flows({&context, 1}, max_seq_len)[0]);
 }
 
 std::vector<std::vector<float>> NetFM::embed_flows(
@@ -482,6 +463,7 @@ std::vector<std::vector<float>> NetFM::embed_flows(
   const nn::InferenceGuard guard;
   const Tensor hidden = encoder_->forward(batch, /*train=*/false);
 
+  // Mean over each flow's real (non-padding) positions.
   const std::size_t d_model = encoder_->config().d_model;
   std::vector<std::vector<float>> out(contexts.size());
   for (std::size_t b = 0; b < contexts.size(); ++b) {

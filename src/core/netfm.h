@@ -143,15 +143,16 @@ class NetFM {
               std::size_t max_seq_len) const;
 
   /// Frozen pooled representation of a context (mean over real tokens of
-  /// the final hidden states). Usable with or without fine-tuning.
+  /// the final hidden states): embed_flows over one context. Usable with
+  /// or without fine-tuning.
   std::vector<float> embed(const std::vector<std::string>& context,
                            std::size_t max_seq_len) const;
 
   /// embed() for many flows at once: pads every context to the same length
   /// (as encode_context already does) and runs them through one batched
-  /// no-grad forward instead of one forward per flow. Element-for-element
-  /// identical to calling embed() in a loop, just amortizing the per-pass
-  /// overhead across the batch.
+  /// no-grad forward instead of one forward per flow. Each row is computed
+  /// independently of its batch neighbours, so element i is bitwise equal
+  /// to embed(contexts[i]), the B=1 case.
   std::vector<std::vector<float>> embed_flows(
       std::span<const std::vector<std::string>> contexts,
       std::size_t max_seq_len) const;

@@ -283,12 +283,9 @@ LmDecoder::LmDecoder(const TrafficLM& lm,
     : lm_(&lm), cache_(lm.encoder_->make_paged_cache(std::move(pool))) {}
 
 std::vector<float> LmDecoder::advance(int token_id) {
-  static const auto f_crash = fault::point("core.decode.crash");
-  if (f_crash.fire()) throw fault::CrashInjected{"core.decode.crash"};
-  const nn::InferenceGuard guard;
-  const Tensor hidden = lm_->encoder_->forward_incremental(token_id, cache_);
-  const Tensor logits = lm_->head_->forward(hidden);  // [1, V]
-  return {logits.data().begin(), logits.data().end()};
+  LmDecoder* const self[1] = {this};
+  const int ids[1] = {token_id};
+  return std::move(advance_batch(self, ids)[0]);
 }
 
 std::vector<std::vector<float>> LmDecoder::advance_batch(
@@ -336,8 +333,7 @@ std::vector<int> frame_for_score(const std::vector<std::string>& tokens,
 }
 
 /// Stable log-softmax at the realized next token, in double: the per-step
-/// term `total -=` accumulates in score(). Shared by the serial and
-/// batched score paths so their arithmetic is identical by construction.
+/// term `total -=` accumulates in score_batch().
 double log_prob_term(const std::vector<float>& logits, int next_id) {
   float maxv = logits[0];
   for (float v : logits) maxv = std::max(maxv, v);
@@ -349,8 +345,7 @@ double log_prob_term(const std::vector<float>& logits, int next_id) {
 }
 
 /// One sampling step: special-token masking, temperature, optional top-k
-/// truncation, softmax draw from `rng`. Shared by the serial and batched
-/// sample paths so their draws are identical by construction.
+/// truncation, softmax draw from `rng`.
 int sample_next_token(std::vector<float> logits, const SampleOptions& options,
                       Rng& rng) {
   // Never emit padding/[CLS]/[MASK]; [SEP] ends the sequence.
@@ -386,24 +381,8 @@ int sample_next_token(std::vector<float> logits, const SampleOptions& options,
 
 double TrafficLM::score(const std::vector<std::string>& tokens) const {
   LmDecoder decoder(*this);
-  return score(tokens, decoder);
-}
-
-double TrafficLM::score(const std::vector<std::string>& tokens,
-                        LmDecoder& decoder) const {
-  const std::vector<int> ids =
-      frame_for_score(tokens, vocab_, encoder_->config().max_seq_len);
-  if (ids.size() < 2) return 0.0;
-
-  decoder.reset();
-  double total = 0.0;
-  std::size_t count = 0;
-  for (std::size_t t = 0; t + 1 < ids.size(); ++t) {
-    const std::vector<float> logits = decoder.advance(ids[t]);
-    total -= log_prob_term(logits, ids[t + 1]);
-    ++count;
-  }
-  return total / static_cast<double>(count);
+  LmDecoder* const decoders[1] = {&decoder};
+  return score_batch({&tokens, 1}, decoders)[0];
 }
 
 std::vector<double> TrafficLM::score_batch(
@@ -424,7 +403,7 @@ std::vector<double> TrafficLM::score_batch(
   // Lockstep decode: at step t, every sequence that still has a target
   // token joins one batched forward. Sequences fall out of the batch as
   // they end; per-sequence accumulation is untouched, so each element is
-  // bitwise equal to the serial score.
+  // bitwise equal to scoring that sequence alone.
   std::vector<LmDecoder*> active;
   std::vector<int> step_tokens;
   std::vector<std::size_t> who;
@@ -455,31 +434,9 @@ std::vector<double> TrafficLM::score_batch(
 std::vector<std::string> TrafficLM::sample(const SampleOptions& options,
                                            Rng& rng) const {
   LmDecoder decoder(*this);
-  return sample(options, rng, decoder);
-}
-
-std::vector<std::string> TrafficLM::sample(const SampleOptions& options,
-                                           Rng& rng,
-                                           LmDecoder& decoder) const {
-  std::vector<int> ids = {tok::Vocabulary::kCls};
-  std::vector<std::string> out;
-  // max_tokens + 1 accounts for [CLS]; compare before adding so a huge
-  // max_tokens (e.g. SIZE_MAX) can't wrap to 0 and emit nothing.
-  const std::size_t cap = encoder_->config().max_seq_len;
-  const std::size_t limit =
-      options.max_tokens >= cap ? cap : options.max_tokens + 1;
-  // KV-cached decode: each step appends one token's K/V per layer instead
-  // of re-running the whole prefix — logits are bit-identical to
-  // next_logits(ids), so sampling draws the exact same tokens.
-  decoder.reset();
-  while (ids.size() < limit) {
-    std::vector<float> logits = decoder.advance(ids.back());
-    const int token = sample_next_token(std::move(logits), options, rng);
-    if (token == tok::Vocabulary::kSep) break;
-    ids.push_back(token);
-    out.push_back(vocab_.token(token));
-  }
-  return out;
+  Rng* const rngs[1] = {&rng};
+  LmDecoder* const decoders[1] = {&decoder};
+  return std::move(sample_batch({&options, 1}, rngs, decoders)[0]);
 }
 
 std::vector<std::vector<std::string>> TrafficLM::sample_batch(
@@ -495,6 +452,8 @@ std::vector<std::vector<std::string>> TrafficLM::sample_batch(
   std::vector<std::size_t> limit(n);
   std::vector<char> done(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
+    // max_tokens + 1 accounts for [CLS]; compare before adding so a huge
+    // max_tokens (e.g. SIZE_MAX) can't wrap to 0 and emit nothing.
     limit[i] = options[i].max_tokens >= cap ? cap : options[i].max_tokens + 1;
     decoders[i]->reset();
     if (ids[i].size() >= limit[i]) done[i] = 1;
@@ -502,8 +461,9 @@ std::vector<std::vector<std::string>> TrafficLM::sample_batch(
   // Lockstep decode: every still-active stream feeds its last token into
   // one batched forward, then draws from its own Rng through the shared
   // per-step sampling code — so each stream's tokens are bitwise equal to
-  // a serial sample() with the same options/seed. Streams drop out of the
-  // batch on [SEP] or their token limit.
+  // sampling it alone with the same options/seed. KV-cached logits are
+  // bit-identical to next_logits(ids). Streams drop out of the batch on
+  // [SEP] or their token limit.
   std::vector<LmDecoder*> active;
   std::vector<int> step_tokens;
   std::vector<std::size_t> who;

@@ -59,47 +59,39 @@ class TrafficLM {
   double loss(const std::vector<std::vector<std::string>>& corpus,
               std::size_t max_seq_len) const;
 
-  /// Samples one synthetic token sequence (without [CLS]/[SEP] framing).
+  /// Samples one synthetic token sequence (without [CLS]/[SEP] framing):
+  /// sample_batch over one stream with a private decoder.
   std::vector<std::string> sample(const SampleOptions& options,
                                   Rng& rng) const;
-
-  /// Same draw through a caller-owned decoder (reset on entry): a pooled
-  /// per-session decoder produces the exact tokens a fresh one would, so
-  /// the serving layer can reuse KV cache blocks across requests.
-  std::vector<std::string> sample(const SampleOptions& options, Rng& rng,
-                                  LmDecoder& decoder) const;
 
   /// Samples a whole synthetic corpus.
   std::vector<std::vector<std::string>> sample_corpus(
       std::size_t count, const SampleOptions& options, Rng& rng) const;
 
   /// Mean next-token negative log-likelihood of one token sequence
-  /// (framed [CLS] ... [SEP], truncated to max_seq_len). Runs through the
-  /// KV-cached decoder, so a sequence of length T costs O(T^2) total work
-  /// instead of the O(T^3) of scoring each prefix from scratch.
+  /// (framed [CLS] ... [SEP], truncated to max_seq_len): score_batch over
+  /// one sequence with a private decoder. KV-cached, so a sequence of
+  /// length T costs O(T^2) total work instead of the O(T^3) of scoring
+  /// each prefix from scratch; bitwise equal to the same arithmetic over
+  /// the uncached next_logits() oracle.
   double score(const std::vector<std::string>& tokens) const;
 
-  /// score() through a caller-owned decoder (reset on entry). The cached
-  /// logits are bitwise-equal after a reset, so a pooled per-session
-  /// decoder returns the exact score a fresh one would.
-  double score(const std::vector<std::string>& tokens,
-               LmDecoder& decoder) const;
-
   /// score() for many sequences at once, one decoder per sequence (all on
-  /// this model), run as lockstep batched decode steps — one padded
-  /// forward per step across every still-active sequence via
-  /// LmDecoder::advance_batch. Per-sequence math is untouched, so
-  /// element i is bitwise equal to score(sequences[i], *decoders[i]).
+  /// this model, each reset on entry), run as lockstep batched decode
+  /// steps — one padded forward per step across every still-active
+  /// sequence via LmDecoder::advance_batch. Per-sequence math is untouched
+  /// by batching, so element i is bitwise equal to score(sequences[i]),
+  /// the B=1 case, and a pooled decoder scores exactly as a fresh one.
   std::vector<double> score_batch(
       std::span<const std::vector<std::string>> sequences,
       std::span<LmDecoder* const> decoders) const;
 
   /// sample() for many streams at once (options[i]/rngs[i]/decoders[i]
-  /// drive stream i), decoded in lockstep batched steps. Each stream draws
-  /// from its own Rng with the per-step sampling math unchanged, so
-  /// element i is bitwise equal to sample(options[i], *rngs[i],
-  /// *decoders[i]). Streams drop out of the batch as they emit [SEP] or
-  /// hit their token limit.
+  /// drive stream i; each decoder is reset on entry), decoded in lockstep
+  /// batched steps. Each stream draws from its own Rng with the per-step
+  /// sampling math unchanged, so element i is bitwise equal to
+  /// sample(options[i], *rngs[i]), the B=1 case. Streams drop out of the
+  /// batch as they emit [SEP] or hit their token limit.
   std::vector<std::vector<std::string>> sample_batch(
       std::span<const SampleOptions> options, std::span<Rng* const> rngs,
       std::span<LmDecoder* const> decoders) const;
@@ -171,16 +163,16 @@ class LmDecoder {
   LmDecoder(const TrafficLM& lm, std::shared_ptr<model::KvBlockPool> pool);
 
   /// Feeds `token_id` at position cached_tokens() and returns the logits
-  /// for the *next* token. Observes the `core.decode.crash` fault point;
-  /// after an injected crash, reset() restores a clean (cold-cache) state.
+  /// for the *next* token: advance_batch over this decoder alone.
   std::vector<float> advance(int token_id);
 
   /// One lockstep decode step across many decoders (all on one TrafficLM,
   /// all distinct): feeds token_ids[i] to decoders[i] and returns each
   /// next-token logits row. Row i is bitwise equal to
-  /// decoders[i]->advance(token_ids[i]) — one padded forward replaces n
-  /// serial ones. Observes `core.decode.crash` once per step; on
-  /// ContextFullError no decoder has advanced.
+  /// decoders[i]->advance(token_ids[i]), the B=1 case — one padded forward
+  /// replaces n serial ones. Observes `core.decode.crash` once per step;
+  /// after an injected crash, reset() restores a clean (cold-cache)
+  /// state. On ContextFullError no decoder has advanced.
   static std::vector<std::vector<float>> advance_batch(
       std::span<LmDecoder* const> decoders, std::span<const int> token_ids);
 

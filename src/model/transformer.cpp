@@ -358,13 +358,6 @@ PagedKvCache TransformerEncoder::make_paged_cache() const {
       default_kv_block_tokens(), blocks_per_sequence()));
 }
 
-Tensor TransformerEncoder::forward_incremental(int token_id,
-                                               PagedKvCache& cache) const {
-  PagedKvCache* caches[1] = {&cache};
-  const int ids[1] = {token_id};
-  return forward_incremental_batch(ids, caches);
-}
-
 Tensor TransformerEncoder::forward_incremental_batch(
     std::span<const int> token_ids,
     std::span<PagedKvCache* const> caches) const {
@@ -375,8 +368,8 @@ Tensor TransformerEncoder::forward_incremental_batch(
   nn::Workspace::current().reset_scratch();
   if (!config_.causal)
     throw std::invalid_argument(
-        "forward_incremental: requires a causal config (later tokens must "
-        "not change earlier rows)");
+        "forward_incremental_batch: requires a causal config (later tokens "
+        "must not change earlier rows)");
   if (token_ids.size() != caches.size() || caches.empty())
     throw std::invalid_argument(
         "forward_incremental_batch: need one token per cache (and at least "
@@ -385,17 +378,18 @@ Tensor TransformerEncoder::forward_incremental_batch(
     PagedKvCache* cache = caches[b];
     if (cache == nullptr || !cache->pool)
       throw std::invalid_argument(
-          "forward_incremental: cache has no pool (use make_paged_cache())");
+          "forward_incremental_batch: cache has no pool (use "
+          "make_paged_cache())");
     const KvBlockPool& pool = *cache->pool;
     if (pool.layers() != config_.num_layers ||
         pool.heads() != config_.num_heads ||
         pool.head_dim() != config_.head_dim() ||
         cache->capacity != config_.max_seq_len)
       throw std::invalid_argument(
-          "forward_incremental: cache geometry mismatch (use "
+          "forward_incremental_batch: cache geometry mismatch (use "
           "make_paged_cache())");
     if (cache->length >= cache->capacity)
-      throw ContextFullError("forward_incremental: cache full");
+      throw ContextFullError("forward_incremental_batch: cache full");
     for (std::size_t o = 0; o < b; ++o)
       if (caches[o] == cache)
         throw std::invalid_argument(

@@ -152,23 +152,17 @@ class TransformerEncoder {
   PagedKvCache make_paged_cache(std::shared_ptr<KvBlockPool> pool) const;
   PagedKvCache make_paged_cache() const;
 
-  /// Feeds one token at position `cache.length` and returns its contextual
-  /// embedding [1, D]: bit-identical to the last row of forward() over the
-  /// same prefix, at O(T) cost per step instead of O(T^2). Requires a
-  /// causal config; run under nn::InferenceGuard (no dropout). Throws
-  /// ContextFullError when the session is at max_seq_len or
-  /// (pool_exhausted()) the shared pool has no free block; on pool
-  /// exhaustion the cache is left unmodified, so the session can retry
-  /// after blocks are freed.
-  nn::Tensor forward_incremental(int token_id, PagedKvCache& cache) const;
-
   /// One lockstep decode step across B sessions: token_ids[b] is fed to
   /// caches[b] at its current length; returns the B contextual embeddings
-  /// as [B, D]. Each row is bit-identical to the single-session route on
-  /// that session alone. Blocks needed by this step are reserved up front
-  /// across all sessions — on exhaustion the reservation is rolled back
-  /// and ContextFullError{pool_exhausted()=true} is thrown with every
-  /// cache unmodified.
+  /// as [B, D]. Row b is bit-identical to the last row of forward() over
+  /// that session's prefix, at O(T) cost per step instead of O(T^2), and
+  /// does not depend on the other sessions in the batch. Requires a causal
+  /// config; run under nn::InferenceGuard (no dropout). Throws
+  /// ContextFullError when a session is at max_seq_len or
+  /// (pool_exhausted()) the shared pool has no free block. Blocks needed
+  /// by this step are reserved up front across all sessions — on
+  /// exhaustion the reservation is rolled back with every cache
+  /// unmodified, so the step can be retried after blocks are freed.
   nn::Tensor forward_incremental_batch(std::span<const int> token_ids,
                                        std::span<PagedKvCache* const> caches) const;
 

@@ -23,16 +23,46 @@
 // Bits: the panels are exactly what nn::matmul's per-call pack_b would
 // build and the kernel and K order are unchanged, so packed_linear is
 // bitwise equal to nn::add(nn::matmul(x, W), bias).
+//
+// Alignment: a panel row is kNR = 16 floats, one 64-byte AVX-512 load. The
+// fp32 panels are allocated 64-byte aligned so no such load straddles two
+// cache lines; with the default 16-byte alignment, how many layers got
+// split loads depended on the heap's history before the first pack.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <vector>
 
 #include "nn/tensor.h"
 
 namespace netfm::nn {
+
+namespace detail {
+
+/// std::allocator with 64-byte (cache-line) alignment.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(
+        ::operator new(n * sizeof(T), std::align_val_t{64}));
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    ::operator delete(p, std::align_val_t{64});
+  }
+  template <typename U>
+  bool operator==(const CacheLineAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+}  // namespace detail
 
 /// One weight matrix's inference panels at one weight epoch. W's element
 /// (k, j) is read from source[k * rs + j * cs], so a row-major [K, N]
@@ -42,7 +72,8 @@ struct WeightPanels {
   const float* source = nullptr;
   std::size_t K = 0, N = 0, rs = 0, cs = 0;
   std::uint64_t epoch = 0;  // weight_epoch() read before packing
-  std::vector<float> fp32;  // pack_b layout: ceil(N/kNR) panels of K x kNR
+  // pack_b layout: ceil(N/kNR) panels of K x kNR, 64-byte aligned.
+  std::vector<float, detail::CacheLineAllocator<float>> fp32;
   // Int8 panels (nn/quant.h); kp == 0 when the weight was not quantized.
   std::vector<std::int8_t> i8;  // N x kp row-major; row j = column j of W
   std::vector<float> scales;    // per output channel, length N

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <span>
 #include <string_view>
 
 #include "common/fault.h"
 #include "common/metrics.h"
-#include "nn/quant.h"
 
 namespace netfm::serve {
 
@@ -29,7 +29,7 @@ std::uint64_t now_ns() noexcept {
 }
 
 /// Highest degradation-ladder level; see SchedulerOptions.
-constexpr int kMaxDegradeLevel = 3;
+constexpr int kMaxDegradeLevel = 2;
 
 }  // namespace
 
@@ -209,36 +209,19 @@ void Scheduler::set_degrade_level(int level) {
   static const auto g_level = metrics::gauge("serve.degrade.level");
   static const auto c_transitions =
       metrics::counter("serve.degrade.transitions");
-  const int prev = degrade_level_.load(std::memory_order_relaxed);
-  if (level == prev) return;
-  // Level 2+ routes inference through the int8 quant GEMM; remember and
-  // restore the operator's configured state on the way back down.
-  if (prev < 2 && level >= 2) {
-    quant_before_degrade_ = nn::quant::enabled();
-    nn::quant::set_enabled(true);
-  } else if (prev >= 2 && level < 2) {
-    nn::quant::set_enabled(quant_before_degrade_);
-  }
+  if (level == degrade_level_.load(std::memory_order_relaxed)) return;
   degrade_level_.store(level, std::memory_order_relaxed);
   g_level.set(static_cast<double>(level));
   c_transitions.add();
 }
 
-void Scheduler::update_degradation(std::size_t depth_after,
-                                   std::uint64_t oldest_wait_ms) {
+void Scheduler::update_degradation(std::size_t depth_after) {
   if (!options_.degrade) return;
-  const bool wait_pressure = options_.degrade_wait_high_ms != 0 &&
-                             oldest_wait_ms >= options_.degrade_wait_high_ms;
-  const bool pressure =
-      depth_after >= options_.degrade_queue_high || wait_pressure;
-  const bool calm = depth_after <= options_.degrade_queue_low &&
-                    (options_.degrade_wait_high_ms == 0 ||
-                     oldest_wait_ms < options_.degrade_wait_high_ms);
   const int level = degrade_level_.load(std::memory_order_relaxed);
-  if (pressure) {
+  if (depth_after >= options_.degrade_queue_high) {
     calm_ticks_ = 0;
     if (level < kMaxDegradeLevel) set_degrade_level(level + 1);
-  } else if (calm && level > 0) {
+  } else if (depth_after <= options_.degrade_queue_low && level > 0) {
     if (++calm_ticks_ >= options_.degrade_hold_ticks) {
       calm_ticks_ = 0;
       set_degrade_level(level - 1);
@@ -258,16 +241,14 @@ void Scheduler::worker_loop() {
   bool drain_deadline_set = false;
   Clock::time_point drain_deadline{};
   const auto on_exit = [this] {
-    // Leaving with the ladder engaged would pin the process-global quant
-    // override; reset to the configured state.
-    if (degrade_level_.load(std::memory_order_relaxed) != 0)
-      set_degrade_level(0);
+    // A stopped worker holds no level: walk the serve.degrade.level gauge
+    // home rather than leave it reporting a ladder nobody runs.
+    set_degrade_level(0);
     touch_heartbeat();
   };
   for (;;) {
     batch.clear();
     std::size_t depth_after = 0;
-    std::uint64_t oldest_wait_ms = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       // Poll-wait so the heartbeat keeps beating while idle; only a
@@ -278,7 +259,7 @@ void Scheduler::worker_loop() {
         work_.wait_for(lock, std::chrono::milliseconds(50));
         // An idle poll counts as a calm tick — the ladder must walk back
         // home after a burst even when no further traffic arrives.
-        if (queue_.empty() && !stop_requested_) update_degradation(0, 0);
+        if (queue_.empty() && !stop_requested_) update_degradation(0);
       }
       if (stop_requested_) {
         if (queue_.empty()) {
@@ -319,16 +300,9 @@ void Scheduler::worker_loop() {
       }
       active_batch_.store(batch.size());
       depth_after = queue_.size();
-      if (!queue_.empty()) {
-        const auto wait =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                Clock::now() - queue_.front().admitted)
-                .count();
-        oldest_wait_ms = wait > 0 ? static_cast<std::uint64_t>(wait) : 0;
-      }
     }
     for (const Pending& p : batch) h_queue.record(elapsed_ns(p.admitted));
-    update_degradation(depth_after, oldest_wait_ms);
+    update_degradation(depth_after);
     const auto tick_start = Clock::now();
     run_tick(batch);
     const auto tick_ns = static_cast<std::uint64_t>(elapsed_ns(tick_start));
@@ -395,9 +369,9 @@ void Scheduler::run_tick(std::vector<Pending>& batch) {
   }
   touch_heartbeat();
 
-  // Level 3 sheds generate in-tick too: requests admitted before the
-  // ladder reached 3 still get the typed reject instead of the expensive
-  // decode.
+  // The top level sheds generate in-tick too: requests admitted before
+  // the ladder reached it still get the typed reject instead of the
+  // expensive decode.
   if (options_.degrade &&
       degrade_level_.load(std::memory_order_relaxed) >= kMaxDegradeLevel) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -411,84 +385,85 @@ void Scheduler::run_tick(std::vector<Pending>& batch) {
 
   const auto batch_start = Clock::now();
 
-  // One padded forward for all next_logits requests in this tick.
-  std::vector<std::size_t> logits_index;
-  std::vector<std::vector<int>> logits_ids;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (done[i] || batch[i].request.op != Op::kNextLogits) continue;
-    logits_index.push_back(i);
-    logits_ids.push_back(batch[i].request.ids);
-  }
-  if (!logits_index.empty()) {
+  // Runs `group` over all `members` (indices into batch) as one batched
+  // call. If that throws (a bad input, an injected crash, a dry KV pool),
+  // each member runs alone, so one poisoned request can't take down its
+  // group-mates; a member that still throws gets its own typed reply.
+  // Groups write replies only after their batched call returns and build
+  // their inputs afresh per call (decoders reset, RNGs reseeded), so a
+  // failed attempt leaves nothing behind.
+  const auto run_group = [&](std::span<const std::size_t> members,
+                             const auto& group) {
+    if (members.empty()) return;
     bool group_ok = false;
     try {
-      auto results = lm_->next_logits_batch(logits_ids);
-      for (std::size_t g = 0; g < logits_index.size(); ++g)
-        replies[logits_index[g]].logits = std::move(results[g]);
+      group(members);
       group_ok = true;
     } catch (const fault::CrashInjected&) {
     } catch (const std::exception&) {
     }
-    if (!group_ok) {
-      // A bad sequence (empty, over max_seq_len) or an injected crash
-      // fails the padded batch; retry each member alone so one poisoned
-      // request can't take down its tick-mates.
-      for (const std::size_t i : logits_index) {
-        try {
-          replies[i].logits = lm_->next_logits(batch[i].request.ids);
-        } catch (const fault::CrashInjected& crash) {
-          replies[i] = Reply::errored("fault injected: " + crash.point);
-        } catch (const std::exception& inner) {
-          replies[i] = Reply::errored(inner.what());
-        }
+    for (std::size_t m = 0; !group_ok && m < members.size(); ++m) {
+      const std::size_t i = members[m];
+      try {
+        group(members.subspan(m, 1));
+      } catch (const model::ContextFullError&) {
+        c_context_full.add();
+        replies[i] = Reply::rejected(RejectReason::kContextFull,
+                                     retry_hint_ms(queued()));
+      } catch (const fault::CrashInjected& crash) {
+        replies[i] = Reply::errored("fault injected: " + crash.point);
+      } catch (const std::exception& e) {
+        replies[i] = Reply::errored(e.what());
       }
     }
     touch_heartbeat();
-  }
+  };
+  const auto pending_ops = [&](std::initializer_list<Op> ops) {
+    std::vector<std::size_t> members;
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      if (!done[i] && std::find(ops.begin(), ops.end(),
+                                batch[i].request.op) != ops.end())
+        members.push_back(i);
+    return members;
+  };
 
-  // One padded forward for all embed requests (grouped per pooling window).
-  std::vector<std::size_t> embed_index;
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    if (!done[i] && batch[i].request.op == Op::kEmbed)
-      embed_index.push_back(i);
-  if (!embed_index.empty()) {
-    if (fm_ == nullptr) {
-      for (const std::size_t i : embed_index)
-        replies[i] = Reply::errored("embed is not served (no NetFM)");
-    } else {
-      std::stable_sort(embed_index.begin(), embed_index.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return batch[a].request.max_seq_len <
-                                batch[b].request.max_seq_len;
-                       });
-      std::size_t at = 0;
-      while (at < embed_index.size()) {
-        const std::size_t window =
-            batch[embed_index[at]].request.max_seq_len;
-        std::size_t end = at;
-        std::vector<std::vector<std::string>> contexts;
-        while (end < embed_index.size() &&
-               batch[embed_index[end]].request.max_seq_len == window) {
-          contexts.push_back(batch[embed_index[end]].request.tokens);
-          ++end;
-        }
-        try {
-          auto embedded = fm_->embed_flows(contexts, window);
-          for (std::size_t g = at; g < end; ++g)
-            replies[embed_index[g]].embedding =
-                std::move(embedded[g - at]);
-        } catch (const fault::CrashInjected& crash) {
-          for (std::size_t g = at; g < end; ++g)
-            replies[embed_index[g]] =
-                Reply::errored("fault injected: " + crash.point);
-        } catch (const std::exception& e) {
-          for (std::size_t g = at; g < end; ++g)
-            replies[embed_index[g]] = Reply::errored(e.what());
-        }
-        at = end;
-        touch_heartbeat();
-      }
-    }
+  // One padded forward for all next_logits requests in this tick.
+  run_group(pending_ops({Op::kNextLogits}),
+            [&](std::span<const std::size_t> group) {
+              std::vector<std::vector<int>> ids;
+              for (const std::size_t i : group)
+                ids.push_back(batch[i].request.ids);
+              auto logits = lm_->next_logits_batch(ids);
+              for (std::size_t g = 0; g < group.size(); ++g)
+                replies[group[g]].logits = std::move(logits[g]);
+            });
+
+  // One padded forward per pooling window for the embed requests.
+  std::vector<std::size_t> embed_index = pending_ops({Op::kEmbed});
+  if (fm_ == nullptr) {
+    for (const std::size_t i : embed_index)
+      replies[i] = Reply::errored("embed is not served (no NetFM)");
+    embed_index.clear();
+  }
+  std::stable_sort(embed_index.begin(), embed_index.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return batch[a].request.max_seq_len <
+                            batch[b].request.max_seq_len;
+                   });
+  for (auto at = embed_index.begin(); at != embed_index.end();) {
+    const auto end = std::find_if(at, embed_index.end(), [&](std::size_t i) {
+      return batch[i].request.max_seq_len != batch[*at].request.max_seq_len;
+    });
+    run_group({at, end}, [&](std::span<const std::size_t> group) {
+      std::vector<std::vector<std::string>> contexts;
+      for (const std::size_t i : group)
+        contexts.push_back(batch[i].request.tokens);
+      auto embedded =
+          fm_->embed_flows(contexts, batch[group[0]].request.max_seq_len);
+      for (std::size_t g = 0; g < group.size(); ++g)
+        replies[group[g]].embedding = std::move(embedded[g]);
+    });
+    at = end;
   }
 
   // Decoder-backed ops: per-session paged KV caches drawn from the shared
@@ -496,129 +471,67 @@ void Scheduler::run_tick(std::vector<Pending>& batch) {
   // per wave, in batch order, so several queued ops for one session run in
   // sequence, not against each other — and each wave's score and generate
   // groups run as lockstep batched decode steps (one padded forward per
-  // step across the group) via score_batch/sample_batch. A group that
-  // throws retries each member alone, so one poisoned request can't take
-  // down its wave-mates; score/sample reset their decoder on entry, so a
-  // crash-injected request leaves no residue in the session's cache.
-  std::vector<std::size_t> decode_index;
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    if (!done[i] && (batch[i].request.op == Op::kScore ||
-                     batch[i].request.op == Op::kGenerate))
-      decode_index.push_back(i);
-  if (!decode_index.empty()) {
+  // step across the group) via score_batch/sample_batch.
+  std::vector<std::size_t> rest = pending_ops({Op::kScore, Op::kGenerate});
+  if (!rest.empty()) {
     // Headroom for this tick's worst case: evicting idle LRU sessions to
     // free blocks is bitwise-invisible (their next request replays from a
     // cold cache either way).
-    pool_.reclaim_kv(decode_index.size() * pool_.kv_blocks_per_sequence());
-
-    std::vector<char> processed(decode_index.size(), 0);
-    std::size_t remaining = decode_index.size();
-    std::vector<std::size_t> wave;  // positions into decode_index
-    while (remaining > 0) {
-      wave.clear();
-      for (std::size_t d = 0; d < decode_index.size(); ++d) {
-        if (processed[d]) continue;
-        const std::uint64_t session =
-            batch[decode_index[d]].request.session;
-        bool dup = false;
-        for (const std::size_t w : wave)
-          if (batch[decode_index[w]].request.session == session) {
-            dup = true;
-            break;
-          }
-        if (!dup) wave.push_back(d);
-      }
-
-      std::vector<std::optional<SessionPool::Lease>> leases(wave.size());
-      for (std::size_t w = 0; w < wave.size(); ++w) {
-        const std::size_t i = decode_index[wave[w]];
-        RejectReason why = RejectReason::kSessionsFull;
-        leases[w] = pool_.checkout(batch[i].request.session, &why);
-        if (!leases[w]) {
-          if (why == RejectReason::kSessionsFull) c_sessions_full.add();
-          replies[i] = Reply::rejected(why, retry_hint_ms(queued()));
-          processed[wave[w]] = 1;
-          --remaining;
-        }
-      }
-
-      const auto run_serial = [&](std::size_t w) {
-        const std::size_t i = decode_index[wave[w]];
-        const Request& request = batch[i].request;
-        try {
-          if (request.op == Op::kScore) {
-            replies[i].score =
-                lm_->score(request.tokens, leases[w]->decoder());
-          } else {
-            Rng rng(request.seed);
-            replies[i].tokens =
-                lm_->sample(request.sampling, rng, leases[w]->decoder());
-          }
-        } catch (const model::ContextFullError&) {
-          c_context_full.add();
-          replies[i] = Reply::rejected(RejectReason::kContextFull,
-                                       retry_hint_ms(queued()));
-        } catch (const fault::CrashInjected& crash) {
-          replies[i] = Reply::errored("fault injected: " + crash.point);
-        } catch (const std::exception& e) {
-          replies[i] = Reply::errored(e.what());
-        }
-      };
-
-      for (const Op op : {Op::kScore, Op::kGenerate}) {
-        std::vector<std::size_t> slots;
-        for (std::size_t w = 0; w < wave.size(); ++w)
-          if (!processed[wave[w]] && leases[w] &&
-              batch[decode_index[wave[w]]].request.op == op)
-            slots.push_back(w);
-        if (slots.empty()) continue;
-        bool group_ok = false;
-        try {
-          if (op == Op::kScore) {
-            std::vector<std::vector<std::string>> sequences;
-            std::vector<core::LmDecoder*> decoders;
-            for (const std::size_t w : slots) {
-              sequences.push_back(
-                  batch[decode_index[wave[w]]].request.tokens);
-              decoders.push_back(&leases[w]->decoder());
-            }
-            const auto scores = lm_->score_batch(sequences, decoders);
-            for (std::size_t g = 0; g < slots.size(); ++g)
-              replies[decode_index[wave[slots[g]]]].score = scores[g];
-          } else {
-            std::vector<core::SampleOptions> sampling;
-            std::vector<Rng> rngs;
-            rngs.reserve(slots.size());
-            std::vector<Rng*> rng_ptrs;
-            std::vector<core::LmDecoder*> decoders;
-            for (const std::size_t w : slots) {
-              const Request& request = batch[decode_index[wave[w]]].request;
-              sampling.push_back(request.sampling);
-              rngs.emplace_back(request.seed);
-              decoders.push_back(&leases[w]->decoder());
-            }
-            for (Rng& rng : rngs) rng_ptrs.push_back(&rng);
-            auto sampled = lm_->sample_batch(sampling, rng_ptrs, decoders);
-            for (std::size_t g = 0; g < slots.size(); ++g)
-              replies[decode_index[wave[slots[g]]]].tokens =
-                  std::move(sampled[g]);
-          }
-          group_ok = true;
-        } catch (const fault::CrashInjected&) {
-        } catch (const std::exception&) {
-        }
-        if (!group_ok)
-          for (const std::size_t w : slots) run_serial(w);
-        for (const std::size_t w : slots) {
-          processed[wave[w]] = 1;
-          --remaining;
-        }
-        touch_heartbeat();
-      }
-      // Leases drop here, so the next wave can check the same sessions out
-      // again.
-      leases.clear();
+    pool_.reclaim_kv(rest.size() * pool_.kv_blocks_per_sequence());
+  }
+  std::vector<std::optional<SessionPool::Lease>> leases(batch.size());
+  const auto score_group = [&](std::span<const std::size_t> group) {
+    std::vector<std::vector<std::string>> sequences;
+    std::vector<core::LmDecoder*> decoders;
+    for (const std::size_t i : group) {
+      sequences.push_back(batch[i].request.tokens);
+      decoders.push_back(&leases[i]->decoder());
     }
+    const auto scores = lm_->score_batch(sequences, decoders);
+    for (std::size_t g = 0; g < group.size(); ++g)
+      replies[group[g]].score = scores[g];
+  };
+  const auto generate_group = [&](std::span<const std::size_t> group) {
+    std::vector<core::SampleOptions> sampling;
+    std::vector<Rng> rngs;
+    rngs.reserve(group.size());
+    std::vector<Rng*> rng_ptrs;
+    std::vector<core::LmDecoder*> decoders;
+    for (const std::size_t i : group) {
+      sampling.push_back(batch[i].request.sampling);
+      rngs.emplace_back(batch[i].request.seed);
+      rng_ptrs.push_back(&rngs.back());
+      decoders.push_back(&leases[i]->decoder());
+    }
+    auto sampled = lm_->sample_batch(sampling, rng_ptrs, decoders);
+    for (std::size_t g = 0; g < group.size(); ++g)
+      replies[group[g]].tokens = std::move(sampled[g]);
+  };
+  while (!rest.empty()) {
+    std::vector<std::size_t> wave, later, scores, generates;
+    for (const std::size_t i : rest) {
+      const bool dup = std::any_of(
+          wave.begin(), wave.end(), [&](std::size_t w) {
+            return batch[w].request.session == batch[i].request.session;
+          });
+      (dup ? later : wave).push_back(i);
+    }
+    rest.swap(later);
+    for (const std::size_t i : wave) {
+      RejectReason why = RejectReason::kSessionsFull;
+      leases[i] = pool_.checkout(batch[i].request.session, &why);
+      if (!leases[i]) {
+        if (why == RejectReason::kSessionsFull) c_sessions_full.add();
+        replies[i] = Reply::rejected(why, retry_hint_ms(queued()));
+      } else {
+        (batch[i].request.op == Op::kScore ? scores : generates).push_back(i);
+      }
+    }
+    run_group(scores, score_group);
+    run_group(generates, generate_group);
+    // Leases drop here, so the next wave can check the same sessions out
+    // again.
+    for (const std::size_t i : wave) leases[i].reset();
   }
   if (const auto& kv = pool_.kv_pool()) {
     g_kv_blocks.set(static_cast<double>(kv->blocks_in_use()));

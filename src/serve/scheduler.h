@@ -10,9 +10,17 @@
 //   next_logits  -> one padded no-grad forward for the whole group
 //                   (TrafficLM::next_logits_batch — bitwise identical to
 //                   per-request calls)
-//   embed        -> one padded forward via NetFM::embed_flows
-//   score        -> per-session KV-cached decoder from the SessionPool
-//   generate     -> seeded sample through the session's decoder
+//   embed        -> one padded forward per pooling window via
+//                   NetFM::embed_flows
+//   score        -> lockstep TrafficLM::score_batch over per-session
+//                   KV-cached decoders from the SessionPool
+//   generate     -> seeded TrafficLM::sample_batch through the same
+//                   decoders
+//
+// Each group runs through one path: the batched call over all members,
+// and if that throws, the same call over each member alone, so one
+// poisoned request gets its own typed reply and its group-mates are
+// served. A single request is the B=1 case of its group's call.
 //
 // Resilience (see DESIGN.md "Serving resilience"):
 //
@@ -24,13 +32,13 @@
 //                tick's stall window (serve.deadline.in_batch). Rejects
 //                carry a retry_after_ms hint derived from queue depth and
 //                the EWMA tick duration.
-//   Degradation  an overload controller samples queue depth and oldest
-//                queue wait each tick and walks a ladder: L1 halves the
-//                effective batch, L2 additionally prefers the int8 quant
-//                route (nn::quant), L3 additionally sheds kGenerate with
-//                typed kOverloaded rejects while score/embed stay live.
-//                Pressure steps up one level per tick; degrade_hold_ticks
-//                calm ticks step back down. serve.degrade.level gauge,
+//   Degradation  an overload controller samples queue depth each tick
+//                and walks a two-level ladder: L1 halves the effective
+//                batch, L2 additionally sheds kGenerate with typed
+//                kOverloaded rejects while score/embed/next_logits stay
+//                live. Replies keep their bits at every level. Pressure
+//                steps up one level per tick; degrade_hold_ticks calm
+//                ticks step back down. serve.degrade.level gauge,
 //                serve.degrade.transitions counter.
 //   Drain/health begin_drain() stops admission (typed kShuttingDown) and
 //                lets in-flight work finish; drained() reports completion.
@@ -39,9 +47,10 @@
 //                past drain_timeout_ms leftovers are rejected typed, never
 //                silently dropped.
 //   Faults       serve.tick.stall stalls a tick (chaos/watchdog testing);
-//                fault::CrashInjected from model code (core.decode.crash,
-//                nn.workspace.oom) is caught per request group and
-//                surfaced as a typed error reply — the worker never dies.
+//                fault::CrashInjected from model code (core.decode.crash)
+//                and bad_alloc (nn.workspace.oom) are caught per request
+//                group, retried per member, and surfaced as a typed error
+//                reply — the worker never dies.
 //
 // Thread confinement: ALL model forwards run on the scheduler's single
 // worker thread. TransformerEncoder::forward is not reentrant on one
@@ -49,8 +58,8 @@
 // while a scheduler is live, direct batched calls on the same
 // TrafficLM/NetFM from other threads must not overlap in-flight requests.
 // One scheduler per model instance; per-session KV decoding stays safe on
-// other threads because forward_incremental touches only the caller's
-// PagedKvCache.
+// other threads because forward_incremental_batch touches only the
+// caller's PagedKvCaches.
 #pragma once
 
 #include <atomic>
@@ -101,10 +110,6 @@ struct SchedulerOptions {
   /// Queue depth at/below which a tick counts as calm. 0 = derive
   /// 1/4 * max_queue at construction.
   std::size_t degrade_queue_low = 0;
-  /// Oldest-queue-wait threshold (ms) that also counts as pressure.
-  /// 0 = depth-only signal (the default, so steady high-throughput load
-  /// with a deep-but-moving queue does not trip the ladder).
-  std::uint64_t degrade_wait_high_ms = 0;
   /// Consecutive calm ticks required before stepping one level back down.
   std::size_t degrade_hold_ticks = 8;
 
@@ -163,8 +168,8 @@ class Scheduler {
   /// the worker exited). The readiness probe's signal.
   bool worker_alive() const;
 
-  /// Current degradation-ladder level (0 = normal .. 3 = shedding
-  /// generate).
+  /// Current degradation-ladder level (0 = normal, 1 = half batch,
+  /// 2 = also shedding generate).
   int degrade_level() const noexcept { return degrade_level_.load(); }
 
   SessionPool& sessions() noexcept { return pool_; }
@@ -180,8 +185,7 @@ class Scheduler {
 
   void worker_loop();
   void run_tick(std::vector<Pending>& batch);
-  void update_degradation(std::size_t depth_after,
-                          std::uint64_t oldest_wait_ms);
+  void update_degradation(std::size_t depth_after);
   void set_degrade_level(int level);
   /// Backoff hint for a reject issued at queue depth `depth`.
   std::uint64_t retry_hint_ms(std::size_t depth) const;
@@ -205,8 +209,7 @@ class Scheduler {
   std::atomic<std::uint64_t> tick_ewma_ns_{0};  // smoothed tick duration
 
   std::atomic<int> degrade_level_{0};
-  std::size_t calm_ticks_ = 0;       // worker thread only
-  bool quant_before_degrade_ = false;  // worker thread only
+  std::size_t calm_ticks_ = 0;  // worker thread only
 
   std::mutex join_mutex_;  // serializes concurrent stop() joins
   std::thread worker_;

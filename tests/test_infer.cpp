@@ -465,11 +465,8 @@ TEST(PagedKv, ScoreBatchBitwiseEqualsSerial) {
     }
     const std::vector<double> batched = lm.score_batch(sequences, ptrs);
     ASSERT_EQ(batched.size(), sequences.size());
-    for (std::size_t i = 0; i < sequences.size(); ++i) {
-      core::LmDecoder serial(lm);
-      ASSERT_EQ(batched[i], lm.score(sequences[i], serial))
-          << "sequence " << i;
-    }
+    for (std::size_t i = 0; i < sequences.size(); ++i)
+      ASSERT_EQ(batched[i], lm.score(sequences[i])) << "sequence " << i;
   });
 }
 
@@ -489,8 +486,7 @@ TEST(PagedKv, SampleBatchBitwiseEqualsSerial) {
     std::vector<std::vector<std::string>> want;
     for (std::size_t i = 0; i < options.size(); ++i) {
       Rng rng(100 + i);
-      core::LmDecoder decoder(lm);
-      want.push_back(lm.sample(options[i], rng, decoder));
+      want.push_back(lm.sample(options[i], rng));
     }
 
     const auto pool =

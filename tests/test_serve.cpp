@@ -81,6 +81,15 @@ std::vector<std::string> session_tokens(const tok::Vocabulary& vocab,
   return tokens;
 }
 
+/// TrafficLM::score through a caller-owned (pooled) decoder: score_batch
+/// over one sequence.
+double score_on(const core::TrafficLM& lm,
+                const std::vector<std::string>& tokens,
+                core::LmDecoder& decoder) {
+  core::LmDecoder* const decoders[1] = {&decoder};
+  return lm.score_batch({&tokens, 1}, decoders)[0];
+}
+
 // ---------------------------------------------------------------------------
 // Wire framing
 
@@ -292,9 +301,9 @@ TEST(Decoder, PooledReuseReplaysBitwiseAcrossSessions) {
   // One decoder serving interleaved sessions (reset between requests)
   // returns the exact bits fresh decoders would.
   core::LmDecoder pooled(lm);
-  const double a_pooled = lm.score(a, pooled);
-  const double b_pooled = lm.score(b, pooled);
-  const double a_again = lm.score(a, pooled);
+  const double a_pooled = score_on(lm, a, pooled);
+  const double b_pooled = score_on(lm, b, pooled);
+  const double a_again = score_on(lm, a, pooled);
   EXPECT_EQ(a_pooled, lm.score(a));
   EXPECT_EQ(b_pooled, lm.score(b));
   EXPECT_EQ(a_again, a_pooled);
@@ -303,7 +312,9 @@ TEST(Decoder, PooledReuseReplaysBitwiseAcrossSessions) {
   sampling.max_tokens = 8;
   Rng fresh_rng(42), pooled_rng(42);
   const auto fresh = lm.sample(sampling, fresh_rng);
-  const auto reused = lm.sample(sampling, pooled_rng, pooled);
+  Rng* const rngs[1] = {&pooled_rng};
+  core::LmDecoder* const decoders[1] = {&pooled};
+  const auto reused = lm.sample_batch({&sampling, 1}, rngs, decoders)[0];
   EXPECT_EQ(fresh, reused);
 }
 
@@ -394,13 +405,13 @@ TEST(SessionPool, EvictedSessionDecodesCorrectlyAfterRecycle) {
   {
     auto lease = pool.checkout(1, &why);
     ASSERT_TRUE(lease.has_value());
-    EXPECT_EQ(lm.score(tokens, lease->decoder()), expected);
+    EXPECT_EQ(score_on(lm, tokens, lease->decoder()), expected);
   }
   {
     // Session 2 evicts session 1 and inherits its (reset) decoder.
     auto lease = pool.checkout(2, &why);
     ASSERT_TRUE(lease.has_value());
-    EXPECT_EQ(lm.score(tokens, lease->decoder()), expected);
+    EXPECT_EQ(score_on(lm, tokens, lease->decoder()), expected);
   }
   EXPECT_EQ(pool.evictions(), 1u);
 }
@@ -433,7 +444,7 @@ TEST(SessionPool, ReclaimKvEvictsIdleAndReplaysBitwise) {
   for (std::uint64_t s : {1, 2}) {
     auto lease = pool.checkout(s, &why);
     ASSERT_TRUE(lease.has_value());
-    EXPECT_EQ(lm.score(tokens, lease->decoder()), expected);
+    EXPECT_EQ(score_on(lm, tokens, lease->decoder()), expected);
   }
   EXPECT_GT(kv->blocks_in_use(), 0u);
 
@@ -447,7 +458,7 @@ TEST(SessionPool, ReclaimKvEvictsIdleAndReplaysBitwise) {
   // An evicted session re-enters as a new one and replays bitwise.
   auto lease = pool.checkout(1, &why);
   ASSERT_TRUE(lease.has_value());
-  EXPECT_EQ(lm.score(tokens, lease->decoder()), expected);
+  EXPECT_EQ(score_on(lm, tokens, lease->decoder()), expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -722,11 +733,20 @@ TEST(Scheduler, DegradationLadderWalksUpShedsGenerateAndWalksDown) {
   options.degrade_queue_high = 8;
   options.degrade_queue_low = 2;
   options.degrade_hold_ticks = 2;
+  options.tick_stall_ms = 5;
   serve::Scheduler scheduler(lm, nullptr, options);
 
   // Burst far past the pressure threshold: depth stays >= 8 for many
   // ticks, so the ladder must climb one level per tick to the top.
   constexpr std::size_t kBurst = 60;
+  std::vector<double> expected(kBurst);
+  for (std::size_t s = 0; s < kBurst; ++s)
+    expected[s] = lm.score(session_tokens(vocab, s, 4));
+  // The references above already packed the weights, so unstalled ticks
+  // could drain the burst about as fast as it is submitted. A 5 ms stall
+  // per tick queues the whole burst and holds each level long enough for
+  // this thread to observe it.
+  fault::Scope stall("serve.tick.stall=1");
   std::vector<std::future<serve::Reply>> futures;
   for (std::size_t s = 0; s < kBurst; ++s) {
     serve::Request request;
@@ -736,12 +756,12 @@ TEST(Scheduler, DegradationLadderWalksUpShedsGenerateAndWalksDown) {
     futures.push_back(scheduler.submit(request));
   }
 
-  // At level 3 the expensive op sheds typed while score stays served.
+  // At level 2 the expensive op sheds typed while score stays served.
   int max_level = 0;
   bool generate_shed = false;
   while (scheduler.queued() != 0) {
     max_level = std::max(max_level, scheduler.degrade_level());
-    if (!generate_shed && scheduler.degrade_level() == 3) {
+    if (!generate_shed && scheduler.degrade_level() == 2) {
       serve::Request generate;
       generate.op = serve::Op::kGenerate;
       generate.session = 9999;
@@ -755,14 +775,19 @@ TEST(Scheduler, DegradationLadderWalksUpShedsGenerateAndWalksDown) {
     }
     std::this_thread::yield();
   }
-  EXPECT_EQ(max_level, 3);
+  EXPECT_EQ(max_level, 2);
   EXPECT_TRUE(generate_shed);
 
-  // Every burst request still gets served (score survives every level).
-  for (auto& f : futures)
-    EXPECT_EQ(f.get().status, serve::Reply::Status::kOk);
+  // Every burst request still gets served (score survives every level),
+  // with the bits of a direct call: no level changes the numerics.
+  for (std::size_t s = 0; s < kBurst; ++s) {
+    const serve::Reply reply = futures[s].get();
+    ASSERT_EQ(reply.status, serve::Reply::Status::kOk) << reply.error;
+    EXPECT_EQ(reply.score, expected[s]) << "session " << s;
+  }
 
-  // Calm ticks walk the ladder home and restore the quant configuration.
+  // Calm ticks walk the ladder home; the process-global int8 switch was
+  // never touched.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (scheduler.degrade_level() != 0 &&
@@ -884,6 +909,28 @@ TEST(Scheduler, InjectedDecodeCrashYieldsTypedErrorAndWorkerSurvives) {
   const serve::Reply after = scheduler.submit(request).get();
   ASSERT_EQ(after.status, serve::Reply::Status::kOk);
   EXPECT_EQ(after.score, lm.score(request.tokens));
+}
+
+TEST(Scheduler, TransientEmbedFaultIsRetriedPerRequest) {
+  const tok::Vocabulary vocab = tiny_vocab();
+  const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
+  core::NetFM fm(vocab, tiny_config(vocab.size()));
+  const std::vector<std::string> tokens = session_tokens(vocab, 1, 5);
+  const std::vector<float> expected = fm.embed(tokens, 16);
+  serve::Scheduler scheduler(lm, &fm);
+
+  serve::Request request;
+  request.op = serve::Op::kEmbed;
+  request.session = 1;
+  request.tokens = tokens;
+  request.max_seq_len = 16;
+  // The first workspace acquisition fails, so the window's batched forward
+  // throws; the request's own retry must serve it, bitwise.
+  fault::reset();
+  fault::Scope scope("nn.workspace.oom=@1");
+  const serve::Reply reply = scheduler.submit(request).get();
+  ASSERT_EQ(reply.status, serve::Reply::Status::kOk) << reply.error;
+  EXPECT_EQ(reply.embedding, expected);
 }
 
 // ---------------------------------------------------------------------------
