@@ -34,18 +34,12 @@ Stdlib only. Three checks, composable on one command line:
                            (a full-length run) and relaxed floors to the
                            smoke emission, which measures single
                            iterations.
-  --kernel-gate NN INFER   NN is a BENCH_micro_nn.json emission, INFER a
-                           BENCH_micro_infer.json emission; fail unless the
-                           SIMD GEMM beats the scalar oracle by
+  --kernel-gate NN         NN is a BENCH_micro_nn.json emission; fail unless
+                           the SIMD GEMM beats the scalar oracle by
                            --min-simd-speedup (default 3x) at the largest
-                           shared size, the quantized decode beats fp32 by
-                           --min-quant-speedup (default 1.2x), and the
-                           measured max-abs logit deviation of the
-                           quantized route stays under --max-logit-dev
-                           (default 0.25, the DESIGN.md bound). When
-                           BM_MatmulSimd reports backend_id == 0 (scalar --
-                           no SIMD on this machine) the speedup floors are
-                           skipped; the deviation bound always applies.
+                           shared size. When BM_MatmulSimd reports
+                           backend_id == 0 (scalar -- no SIMD on this
+                           machine) the floor is skipped.
   --data-gate FILE         FILE is a BENCH_micro_data.json emission; fail
                            unless the streaming loader at its largest
                            swept prefetch depth delivers at least
@@ -321,10 +315,7 @@ def shared_args(records: list[dict], path: str, a: str, b: str) -> list[str]:
     return shared
 
 
-def check_kernel_gate(
-    nn_path: str, infer_path: str, min_simd: float, min_quant: float,
-    max_dev: float
-) -> None:
+def check_kernel_gate(nn_path: str, min_simd: float) -> None:
     nn = load(nn_path)
     arg = shared_args(nn, nn_path, "BM_MatmulScalar", "BM_MatmulSimd")[-1]
     scalar = bench_counter(nn, nn_path, f"BM_MatmulScalar/{arg}", "GFLOPS")
@@ -334,52 +325,22 @@ def check_kernel_gate(
     )
     if scalar <= 0.0:
         fail(f"{nn_path}: non-positive scalar GFLOPS at n={arg}")
-    have_simd = simd_backend != 0
-    if have_simd:
-        speedup = simd / scalar
-        print(
-            f"check_bench_json: GEMM n={arg} {scalar:.2f} GFLOPS scalar / "
-            f"{simd:.2f} GFLOPS simd -> {speedup:.2f}x "
-            f"(floor {min_simd:.2f}x)"
-        )
-        if speedup < min_simd:
-            fail(
-                f"SIMD GEMM speedup {speedup:.2f}x is below the "
-                f"{min_simd:.2f}x floor at n={arg}"
-            )
-    else:
+    if simd_backend == 0:
         print(
             "check_bench_json: BM_MatmulSimd ran on the scalar backend "
-            "(no SIMD on this machine); skipping speedup floors"
+            "(no SIMD on this machine); skipping the speedup floor"
         )
-
-    infer = load(infer_path)
-    arg = shared_args(infer, infer_path, "BM_DecodeFp32", "BM_DecodeQuant")[-1]
-    fp32 = real_time(infer, infer_path, f"BM_DecodeFp32/{arg}")
-    quant = real_time(infer, infer_path, f"BM_DecodeQuant/{arg}")
-    if have_simd:
-        speedup = fp32 / quant
-        print(
-            f"check_bench_json: decode T={arg} {fp32:.0f} ns fp32 / "
-            f"{quant:.0f} ns int8 -> {speedup:.2f}x "
-            f"(floor {min_quant:.2f}x)"
-        )
-        if speedup < min_quant:
-            fail(
-                f"quantized decode speedup {speedup:.2f}x is below the "
-                f"{min_quant:.2f}x floor at T={arg}"
-            )
-    dev = bench_counter(
-        infer, infer_path, f"BM_DecodeQuant/{arg}", "max_logit_dev"
-    )
+        return
+    speedup = simd / scalar
     print(
-        f"check_bench_json: quantized max logit deviation {dev:.4f} "
-        f"(bound {max_dev:.2f})"
+        f"check_bench_json: GEMM n={arg} {scalar:.2f} GFLOPS scalar / "
+        f"{simd:.2f} GFLOPS simd -> {speedup:.2f}x "
+        f"(floor {min_simd:.2f}x)"
     )
-    if not 0.0 < dev <= max_dev:
+    if speedup < min_simd:
         fail(
-            f"quantized logit deviation {dev!r} outside (0, {max_dev}] -- "
-            "zero means the quantized route never ran"
+            f"SIMD GEMM speedup {speedup:.2f}x is below the "
+            f"{min_simd:.2f}x floor at n={arg}"
         )
 
 
@@ -561,10 +522,8 @@ def main() -> None:
     parser.add_argument(
         "--min-batched-decode-speedup", type=float, default=2.0
     )
-    parser.add_argument("--kernel-gate", nargs=2, metavar=("NN", "INFER"))
+    parser.add_argument("--kernel-gate", metavar="NN")
     parser.add_argument("--min-simd-speedup", type=float, default=3.0)
-    parser.add_argument("--min-quant-speedup", type=float, default=1.2)
-    parser.add_argument("--max-logit-dev", type=float, default=0.25)
     parser.add_argument("--serve-gate", metavar="FILE")
     parser.add_argument("--min-sessions", type=float, default=1000.0)
     parser.add_argument("--min-rps", type=float, default=500.0)
@@ -607,13 +566,7 @@ def main() -> None:
             args.min_batched_decode_speedup,
         )
     if args.kernel_gate:
-        check_kernel_gate(
-            args.kernel_gate[0],
-            args.kernel_gate[1],
-            args.min_simd_speedup,
-            args.min_quant_speedup,
-            args.max_logit_dev,
-        )
+        check_kernel_gate(args.kernel_gate, args.min_simd_speedup)
     if args.serve_gate:
         check_serve_gate(
             args.serve_gate,

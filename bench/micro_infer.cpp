@@ -5,15 +5,12 @@
 // no-grad/grad ratios from this file's BENCH_micro_infer.json.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "core/netfm.h"
 #include "core/traffic_lm.h"
 #include "harness/bench_util.h"
 #include "model/transformer.h"
-#include "nn/quant.h"
 #include "nn/tensor.h"
 
 namespace netfm {
@@ -116,71 +113,6 @@ void BM_DecodeBatched(benchmark::State& state) {
                           static_cast<std::int64_t>(seq));
 }
 BENCHMARK(BM_DecodeBatched)->ArgsProduct({{1, 8, 32}, {16, 64, 128}});
-
-// base() scale (d_model=128) rather than tiny (d_model=32): int8 panel
-// packing only pays for itself once K is wide enough for the SIMD inner
-// product to amortize the quantize/dequantize passes.
-model::TransformerConfig quant_config(std::size_t seq_len) {
-  auto config = model::TransformerConfig::base(kVocab);
-  config.max_seq_len = seq_len + 1;
-  config.dropout = 0.0f;
-  return config;
-}
-
-// KV-cached decode on the fp32 route at the quantization-relevant scale:
-// the baseline BM_DecodeQuant is gated against.
-void BM_DecodeFp32(benchmark::State& state) {
-  const auto seq = static_cast<std::size_t>(state.range(0));
-  const core::TrafficLM lm(bench_vocab(), quant_config(seq));
-  const std::vector<int> ids = token_stream(seq, 11);
-  for (auto _ : state) {
-    core::LmDecoder decoder(lm);
-    for (int id : ids) {
-      const std::vector<float> logits = decoder.advance(id);
-      benchmark::DoNotOptimize(logits.data());
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(seq));
-}
-BENCHMARK(BM_DecodeFp32)->Arg(64);
-
-// The same decode with NETFM_QUANT forced on: every Linear and the tied LM
-// head run the int8 GEMM. The max_logit_dev counter is the measured
-// max-abs deviation of the quantized logits from the fp32 route over the
-// whole decode — the number DESIGN.md documents and the CI kernel gate
-// bounds.
-void BM_DecodeQuant(benchmark::State& state) {
-  const auto seq = static_cast<std::size_t>(state.range(0));
-  const core::TrafficLM lm(bench_vocab(), quant_config(seq));
-  const std::vector<int> ids = token_stream(seq, 11);
-  double max_dev = 0.0;
-  {
-    core::LmDecoder fp32(lm), quant(lm);
-    for (int id : ids) {
-      const std::vector<float> a = fp32.advance(id);
-      nn::quant::set_enabled(true);
-      const std::vector<float> b = quant.advance(id);
-      nn::quant::set_enabled(false);
-      for (std::size_t i = 0; i < a.size(); ++i)
-        max_dev = std::max(max_dev, std::abs(double(a[i]) - double(b[i])));
-    }
-  }
-  nn::quant::set_enabled(true);
-  lm.prepack();
-  for (auto _ : state) {
-    core::LmDecoder decoder(lm);
-    for (int id : ids) {
-      const std::vector<float> logits = decoder.advance(id);
-      benchmark::DoNotOptimize(logits.data());
-    }
-  }
-  nn::quant::set_enabled(false);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(seq));
-  state.counters["max_logit_dev"] = max_dev;
-}
-BENCHMARK(BM_DecodeQuant)->Arg(64);
 
 model::Batch random_batch(std::size_t batch, std::size_t seq,
                           std::uint64_t seed) {

@@ -9,7 +9,6 @@
 #include "model/heads.h"
 #include "model/transformer.h"
 #include "nn/kernels/kernels.h"
-#include "nn/quant.h"
 #include "nn/tensor.h"
 
 namespace netfm {
@@ -93,31 +92,6 @@ void BM_MatmulSimd(benchmark::State& state) {
   matmul_on_backend(state, best_simd_backend());
 }
 BENCHMARK(BM_MatmulSimd)->Arg(128)->Arg(256)->Arg(512);
-
-// Int8 weight-quantized inference GEMM through the real nn::quant::linear
-// route (activation quantization + i8 panels + i32 accumulate + per-channel
-// dequant), on the dispatched backend. GFLOPS counts the fp32-equivalent
-// 2*M*K*N work so the rate is directly comparable to BM_Matmul.
-void BM_MatmulInt8(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  nn::quant::set_enabled(true);
-  Rng rng(1);
-  nn::Tensor x = nn::Tensor::randn({n, n}, rng, 1.0f, false);
-  nn::Tensor w = nn::Tensor::randn({n, n}, rng, 1.0f, false);
-  nn::PackedWeights cache;
-  nn::prepack(w.data().data(), n, n, n, 1, cache);
-  for (auto _ : state) {
-    nn::InferenceGuard guard;
-    nn::Tensor y = nn::quant::linear(x, w.data().data(), n, n, n, 1, cache);
-    benchmark::DoNotOptimize(y.data().data());
-  }
-  state.counters["GFLOPS"] =
-      benchmark::Counter(matmul_gflops(state, n), benchmark::Counter::kIsRate);
-  state.counters["backend_id"] =
-      static_cast<double>(static_cast<int>(nn::kernels::active()));
-  nn::quant::set_enabled(false);
-}
-BENCHMARK(BM_MatmulInt8)->Arg(128)->Arg(256)->Arg(512);
 
 // Thread-count scaling at a fixed size: Arg is the pool size (0 = the
 // NETFM_THREADS / hardware default). Compare threads=1 vs threads=N rows.

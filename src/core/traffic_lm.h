@@ -107,8 +107,8 @@ class TrafficLM {
 
   nn::ParameterList parameters() const;
 
-  /// Eagerly packs all inference weight panels (int8 too when NETFM_QUANT
-  /// is on) so the first inference call pays no pack cost.
+  /// Eagerly packs all inference weight panels so the first inference call
+  /// pays no pack cost.
   void prepack() const;
 
   /// Logits for the next token after `ids` (ids start with [CLS]).

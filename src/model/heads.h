@@ -16,8 +16,7 @@ class MlmHead {
 
   /// hidden [B*T, D] -> logits [B*T, V]. In inference mode the tied
   /// decoder runs on panels packed straight from the [V, D] embedding
-  /// table (nn/packed.h; int8 when NETFM_QUANT is on), with no transposed
-  /// weight copy.
+  /// table (nn/packed.h), with no transposed weight copy.
   nn::Tensor forward(const nn::Tensor& hidden) const;
   void collect(nn::ParameterList& out) const;
 

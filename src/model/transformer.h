@@ -60,9 +60,8 @@ class Linear {
   Linear(std::size_t in, std::size_t out, Rng& rng, const std::string& name);
 
   /// In inference mode, runs on the layer's packed weight panels
-  /// (nn/packed.h: fp32, or int8 when NETFM_QUANT is on and the layer
-  /// quantizes); otherwise the fp32 autograd matmul. With quant off both
-  /// routes give the same bits.
+  /// (nn/packed.h); otherwise the fp32 autograd matmul. Both routes give
+  /// the same bits.
   nn::Tensor forward(const nn::Tensor& x) const;
   void collect(nn::ParameterList& out) const;
 

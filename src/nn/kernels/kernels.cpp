@@ -61,8 +61,7 @@ bool cpu_supports(Backend b) noexcept {
     case Backend::kAvx2:
       return __builtin_cpu_supports("avx2");
     case Backend::kAvx512:
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512bw");
+      return __builtin_cpu_supports("avx512f");
 #endif
 #if defined(__aarch64__) || defined(_M_ARM64)
     case Backend::kNeon:

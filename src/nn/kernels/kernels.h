@@ -7,8 +7,7 @@
 // backends vectorize only across *independent output columns* (the NR
 // dimension) using separate multiply and add instructions — never FMA,
 // whose single rounding would diverge from the scalar two-rounding
-// sequence. The int8 kernel accumulates in exact int32 arithmetic, so it
-// is deterministic across backends by construction.
+// sequence.
 //
 // A backend is selected once, at first use, via cpuid-style runtime
 // detection (best available wins: avx512 > avx2 > neon > scalar), with an
@@ -20,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -36,10 +34,6 @@ struct MatRef {
 inline constexpr std::size_t kMR = 4;   // micro-tile rows (register-blocked)
 inline constexpr std::size_t kNR = 16;  // micro-tile cols (one zmm / two ymm)
 
-/// Quantized weight panels are zero-padded to a multiple of this many K
-/// entries so the int8 kernels never need a remainder loop.
-inline constexpr std::size_t kQuantKAlign = 64;
-
 enum class Backend : int {
   kScalar = 0,
   kAvx2 = 1,
@@ -47,8 +41,8 @@ enum class Backend : int {
   kNeon = 3,
 };
 
-/// One backend's kernel set. All fp32 kernels are bit-compatible with the
-/// scalar reference (see file comment); gemm_i8 is exact int32.
+/// One backend's kernel set. Every kernel is bit-compatible with the scalar
+/// reference (see file comment).
 struct KernelTable {
   const char* name;
 
@@ -75,13 +69,6 @@ struct KernelTable {
   /// contiguous weighted_sum over the same rows.
   void (*weighted_sum_acc)(const float* w, const float* rows, std::size_t t,
                            std::size_t dk, float* out);
-
-  /// c[i * N + j] = sum over k in [0, kp) of a[i * kp + k] * bt[j * kp + k]
-  /// in exact int32 arithmetic. `a` is M x kp row-major int8 (activation
-  /// rows), `bt` is N x kp row-major int8 (weight *columns*, pre-packed and
-  /// zero-padded); kp must be a multiple of kQuantKAlign.
-  void (*gemm_i8)(const std::int8_t* a, const std::int8_t* bt, std::size_t M,
-                  std::size_t N, std::size_t kp, std::int32_t* c);
 };
 
 /// The active backend's kernels. Selects a backend on first call (cpuid +

@@ -102,49 +102,6 @@ void weighted_sum_acc_avx2(const float* w, const float* rows, std::size_t t,
   }
 }
 
-/// Horizontal sum of 8 int32 lanes (integer adds — exact in any order).
-std::int32_t hsum_epi32(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4e));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xb1));
-  return _mm_cvtsi128_si32(s);
-}
-
-void gemm_i8_avx2(const std::int8_t* a, const std::int8_t* bt, std::size_t M,
-                  std::size_t N, std::size_t kp, std::int32_t* c) {
-  // kp is a multiple of kQuantKAlign (64), so the 32-byte step is exact.
-  // Widen i8 -> i16 and use madd_epi16 (i16 x i16 pair-sum into i32):
-  // |127*127*2| < 2^15 applies to the i16 *inputs*, and the pair sums live
-  // in i32 lanes, so every step is exact — results match the scalar int
-  // loop regardless of lane order.
-  for (std::size_t i = 0; i < M; ++i) {
-    const std::int8_t* arow = a + i * kp;
-    for (std::size_t j = 0; j < N; ++j) {
-      const std::int8_t* brow = bt + j * kp;
-      __m256i acc = _mm256_setzero_si256();
-      for (std::size_t k = 0; k < kp; k += 32) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(arow + k));
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(brow + k));
-        const __m256i a_lo =
-            _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
-        const __m256i a_hi =
-            _mm256_cvtepi8_epi16(_mm256_extracti128_si256(va, 1));
-        const __m256i b_lo =
-            _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
-        const __m256i b_hi =
-            _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vb, 1));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_lo, b_lo));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_hi, b_hi));
-      }
-      c[i * N + j] = hsum_epi32(acc);
-    }
-  }
-}
-
 }  // namespace
 
 extern const KernelTable kAvx2Table;
@@ -153,7 +110,6 @@ const KernelTable kAvx2Table = {
     gemm_rows_avx2,
     weighted_sum_avx2,
     weighted_sum_acc_avx2,
-    gemm_i8_avx2,
 };
 
 }  // namespace netfm::nn::kernels

@@ -1,8 +1,8 @@
-// AVX-512 kernels (F + BW). One 16-float zmm covers a full kNR panel row.
+// AVX-512F kernels. One 16-float zmm covers a full kNR panel row.
 // Same bitwise contract as the AVX2 backend: independent-output
 // vectorization only, separate mul + add (no FMA), serial K per element.
-// Compiled with -mavx512f -mavx512bw -mavx512vl (see src/CMakeLists.txt);
-// entered only after the dispatcher verified avx512f+avx512bw at runtime.
+// Compiled with -mavx512f (see src/CMakeLists.txt); entered only after the
+// dispatcher verified avx512f at runtime.
 #include <immintrin.h>
 
 #include "nn/kernels/kernels.h"
@@ -100,34 +100,6 @@ void weighted_sum_acc_avx512(const float* w, const float* rows, std::size_t t,
   }
 }
 
-void gemm_i8_avx512(const std::int8_t* a, const std::int8_t* bt,
-                    std::size_t M, std::size_t N, std::size_t kp,
-                    std::int32_t* c) {
-  // kp is a multiple of kQuantKAlign (64): one full zmm of int8 per step.
-  for (std::size_t i = 0; i < M; ++i) {
-    const std::int8_t* arow = a + i * kp;
-    for (std::size_t j = 0; j < N; ++j) {
-      const std::int8_t* brow = bt + j * kp;
-      __m512i acc = _mm512_setzero_si512();
-      for (std::size_t k = 0; k < kp; k += 64) {
-        const __m512i va = _mm512_loadu_si512(arow + k);
-        const __m512i vb = _mm512_loadu_si512(brow + k);
-        const __m512i a_lo =
-            _mm512_cvtepi8_epi16(_mm512_castsi512_si256(va));
-        const __m512i a_hi =
-            _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64(va, 1));
-        const __m512i b_lo =
-            _mm512_cvtepi8_epi16(_mm512_castsi512_si256(vb));
-        const __m512i b_hi =
-            _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64(vb, 1));
-        acc = _mm512_add_epi32(acc, _mm512_madd_epi16(a_lo, b_lo));
-        acc = _mm512_add_epi32(acc, _mm512_madd_epi16(a_hi, b_hi));
-      }
-      c[i * N + j] = _mm512_reduce_add_epi32(acc);
-    }
-  }
-}
-
 }  // namespace
 
 extern const KernelTable kAvx512Table;
@@ -136,7 +108,6 @@ const KernelTable kAvx512Table = {
     gemm_rows_avx512,
     weighted_sum_avx512,
     weighted_sum_acc_avx512,
-    gemm_i8_avx512,
 };
 
 }  // namespace netfm::nn::kernels

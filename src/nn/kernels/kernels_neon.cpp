@@ -97,28 +97,6 @@ void weighted_sum_acc_neon(const float* w, const float* rows, std::size_t t,
   }
 }
 
-void gemm_i8_neon(const std::int8_t* a, const std::int8_t* bt, std::size_t M,
-                  std::size_t N, std::size_t kp, std::int32_t* c) {
-  // kp is a multiple of kQuantKAlign (64); widen i8 products through i16
-  // into i32 lanes — all integer adds, exact in any lane order.
-  for (std::size_t i = 0; i < M; ++i) {
-    const std::int8_t* arow = a + i * kp;
-    for (std::size_t j = 0; j < N; ++j) {
-      const std::int8_t* brow = bt + j * kp;
-      int32x4_t acc = vdupq_n_s32(0);
-      for (std::size_t k = 0; k < kp; k += 16) {
-        const int8x16_t va = vld1q_s8(arow + k);
-        const int8x16_t vb = vld1q_s8(brow + k);
-        const int16x8_t p_lo = vmull_s8(vget_low_s8(va), vget_low_s8(vb));
-        const int16x8_t p_hi = vmull_high_s8(va, vb);
-        acc = vpadalq_s16(acc, p_lo);
-        acc = vpadalq_s16(acc, p_hi);
-      }
-      c[i * N + j] = vaddvq_s32(acc);
-    }
-  }
-}
-
 }  // namespace
 
 extern const KernelTable kNeonTable;
@@ -127,7 +105,6 @@ const KernelTable kNeonTable = {
     gemm_rows_neon,
     weighted_sum_neon,
     weighted_sum_acc_neon,
-    gemm_i8_neon,
 };
 
 }  // namespace netfm::nn::kernels

@@ -79,22 +79,6 @@ void weighted_sum_acc_scalar(const float* w, const float* rows, std::size_t t,
   }
 }
 
-void gemm_i8_scalar(const std::int8_t* a, const std::int8_t* bt,
-                    std::size_t M, std::size_t N, std::size_t kp,
-                    std::int32_t* c) {
-  for (std::size_t i = 0; i < M; ++i) {
-    const std::int8_t* arow = a + i * kp;
-    for (std::size_t j = 0; j < N; ++j) {
-      const std::int8_t* brow = bt + j * kp;
-      std::int32_t acc = 0;
-      for (std::size_t k = 0; k < kp; ++k)
-        acc += static_cast<std::int32_t>(arow[k]) *
-               static_cast<std::int32_t>(brow[k]);
-      c[i * N + j] = acc;
-    }
-  }
-}
-
 }  // namespace
 
 extern const KernelTable kScalarTable;
@@ -103,7 +87,6 @@ const KernelTable kScalarTable = {
     gemm_rows_scalar,
     weighted_sum_scalar,
     weighted_sum_acc_scalar,
-    gemm_i8_scalar,
 };
 
 }  // namespace netfm::nn::kernels

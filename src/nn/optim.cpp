@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "nn/quant.h"
+#include "nn/packed.h"
 
 namespace netfm::nn {
 
@@ -38,7 +38,7 @@ void Sgd::step(ParameterList& params) {
       data[j] -= lr_ * vel[j];
     }
   }
-  quant::bump_weight_epoch();  // int8 weight caches are now stale
+  bump_weight_epoch();  // packed weight panels are now stale
 }
 
 void Adam::step(ParameterList& params) {
@@ -67,7 +67,7 @@ void Adam::step(ParameterList& params) {
                         weight_decay_ * data[j]);
     }
   }
-  quant::bump_weight_epoch();  // int8 weight caches are now stale
+  bump_weight_epoch();  // packed weight panels are now stale
 }
 
 float WarmupLinearSchedule::lr_at(std::int64_t step) const noexcept {

@@ -5,15 +5,14 @@
 // that does not change between calls, so a decode step would repack (and,
 // for the tied LM head, transpose) every weight every step. A layer holds a
 // PackedWeights cache instead: the first inference call after a weight
-// change packs the weight once — fp32 panels always, int8 panels (see
-// nn/quant.h) when the quantized route is on — and every later call runs
-// the GEMM straight on the cached panels.
+// change packs the weight once, and every later call runs the GEMM straight
+// on the cached panels.
 //
 // Staleness: the cache is keyed on the global weight epoch
-// (quant::weight_epoch()) plus the weight's address and geometry. Adam,
-// SGD and load_parameters bump the epoch; code that writes parameter
-// values any other way must call quant::bump_weight_epoch() itself. The
-// epoch is process-wide, so training any model repacks every model lazily.
+// (weight_epoch()) plus the weight's address and geometry. Adam, SGD and
+// load_parameters bump the epoch; code that writes parameter values any
+// other way must call bump_weight_epoch() itself. The epoch is
+// process-wide, so training any model repacks every model lazily.
 //
 // Concurrency: a pack is published as an immutable
 // shared_ptr<const WeightPanels> snapshot. Readers hold their snapshot for
@@ -64,6 +63,11 @@ struct CacheLineAllocator {
 
 }  // namespace detail
 
+/// Global weight-mutation epoch. Optimizer steps and parameter loads bump
+/// it; PackedWeights snapshots stamped with an older epoch repack on use.
+std::uint64_t weight_epoch() noexcept;
+void bump_weight_epoch() noexcept;
+
 /// One weight matrix's inference panels at one weight epoch. W's element
 /// (k, j) is read from source[k * rs + j * cs], so a row-major [K, N]
 /// weight (rs = N, cs = 1) and a tied [N, K] embedding table (rs = 1,
@@ -74,10 +78,6 @@ struct WeightPanels {
   std::uint64_t epoch = 0;  // weight_epoch() read before packing
   // pack_b layout: ceil(N/kNR) panels of K x kNR, 64-byte aligned.
   std::vector<float, detail::CacheLineAllocator<float>> fp32;
-  // Int8 panels (nn/quant.h); kp == 0 when the weight was not quantized.
-  std::vector<std::int8_t> i8;  // N x kp row-major; row j = column j of W
-  std::vector<float> scales;    // per output channel, length N
-  std::size_t kp = 0;           // K rounded up to kQuantKAlign
 };
 
 /// A layer's packed-weight cache. Thread-safe: get() takes one lock to
@@ -85,11 +85,11 @@ struct WeightPanels {
 class PackedWeights {
  public:
   /// The panels of W at the current weight epoch, repacking when the epoch,
-  /// address or geometry changed, or when `want_i8` asks for int8 panels
-  /// the snapshot lacks. Each pack bumps the nn.gemm.weight_packs counter.
+  /// address or geometry changed. Each pack bumps the nn.gemm.weight_packs
+  /// counter.
   std::shared_ptr<const WeightPanels> get(const float* w, std::size_t K,
                                           std::size_t N, std::size_t rs,
-                                          std::size_t cs, bool want_i8);
+                                          std::size_t cs);
 
  private:
   std::mutex mu_;
@@ -97,16 +97,15 @@ class PackedWeights {
 };
 
 /// Inference-mode affine map: x @ W + bias, with x's last dim K replaced by
-/// N. Runs the int8 route when quant::enabled() and the layer quantizes,
-/// else the fp32 micro-kernel on the cached panels; the bias add is the
+/// N. Runs the fp32 micro-kernel on the cached panels; the bias add is the
 /// same single rounding as nn::add. Builds no autograd graph — callers use
 /// it only under InferenceGuard.
 Tensor packed_linear(const Tensor& x, const float* w, std::size_t K,
                      std::size_t N, std::size_t rs, std::size_t cs,
                      const Tensor& bias, PackedWeights& cache);
 
-/// Packs `cache` for the current weights (int8 panels too when quant is
-/// on), so the first inference call pays no pack cost.
+/// Packs `cache` for the current weights, so the first inference call pays
+/// no pack cost.
 void prepack(const float* w, std::size_t K, std::size_t N, std::size_t rs,
              std::size_t cs, PackedWeights& cache);
 

@@ -5,7 +5,7 @@
 
 #include "common/bytes.h"
 #include "common/fileio.h"
-#include "nn/quant.h"
+#include "nn/packed.h"
 
 namespace netfm::nn {
 namespace {
@@ -164,7 +164,7 @@ bool load_parameters(std::span<const std::uint8_t> blob,
     const auto dst = params[i].tensor.data();
     std::memcpy(dst.data(), staged[i].data(), staged[i].size() * 4);
   }
-  quant::bump_weight_epoch();  // int8 weight caches are now stale
+  bump_weight_epoch();  // packed weight panels are now stale
   return true;
 }
 

@@ -85,13 +85,15 @@ void HttpServer::stop() {
       if (t.joinable()) t.join();
     return;
   }
+  // shutdown() wakes the acceptor's accept(); the fd is closed and reset
+  // only after the acceptor, its one concurrent reader, has been joined.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  conn_ready_.notify_all();
+  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  conn_ready_.notify_all();
-  if (acceptor_.joinable()) acceptor_.join();
   for (std::thread& t : io_workers_)
     if (t.joinable()) t.join();
   io_workers_.clear();

@@ -22,7 +22,8 @@
 #include "model/heads.h"
 #include "model/kv_pool.h"
 #include "nn/kernels/kernels.h"
-#include "nn/quant.h"
+#include "nn/optim.h"
+#include "nn/packed.h"
 #include "nn/serialize.h"
 #include "nn/tensor.h"
 #include "nn/workspace.h"
@@ -32,19 +33,12 @@ namespace {
 
 using nn::Tensor;
 namespace kernels = nn::kernels;
-namespace quant = nn::quant;
 
 /// Restores the backend active at construction (usually the dispatched
 /// default) so tests can switch freely.
 struct BackendGuard {
   kernels::Backend saved = kernels::active();
   ~BackendGuard() { kernels::set_backend(saved); }
-};
-
-/// Turns the quantized route on for one test and always off afterwards.
-struct QuantGuard {
-  explicit QuantGuard(bool on) { quant::set_enabled(on); }
-  ~QuantGuard() { quant::set_enabled(false); }
 };
 
 tok::Vocabulary tiny_vocab() {
@@ -394,53 +388,48 @@ std::vector<std::vector<int>> batch_token_ids(const tok::Vocabulary& vocab) {
   return ids;
 }
 
-TEST(PagedKv, AdvanceBatchBitwiseEqualsSerialAcrossBackendsAndQuant) {
+TEST(PagedKv, AdvanceBatchBitwiseEqualsSerialAcrossBackends) {
   const tok::Vocabulary vocab = tiny_vocab();
   const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
   const std::vector<std::vector<int>> ids = batch_token_ids(vocab);
   const std::size_t batch = ids.size();
   const std::size_t steps = ids.front().size();
 
-  for (const bool quant_on : {false, true}) {
-    QuantGuard quant_guard(quant_on);
-    if (quant_on) lm.prepack();
-    BackendGuard backend_guard;
-    for (kernels::Backend b : kernels::available()) {
-      kernels::set_backend(b);
-      with_thread_counts([&] {
-        // Serial oracle: one private-pool decoder per stream.
-        std::vector<std::vector<std::vector<float>>> want(batch);
-        for (std::size_t i = 0; i < batch; ++i) {
-          core::LmDecoder decoder(lm);
-          for (std::size_t t = 0; t < steps; ++t)
-            want[i].push_back(decoder.advance(ids[i][t]));
-        }
+  BackendGuard backend_guard;
+  for (kernels::Backend b : kernels::available()) {
+    kernels::set_backend(b);
+    with_thread_counts([&] {
+      // Serial oracle: one private-pool decoder per stream.
+      std::vector<std::vector<std::vector<float>>> want(batch);
+      for (std::size_t i = 0; i < batch; ++i) {
+        core::LmDecoder decoder(lm);
+        for (std::size_t t = 0; t < steps; ++t)
+          want[i].push_back(decoder.advance(ids[i][t]));
+      }
 
-        // Batched route: every decoder draws from one shared pool.
-        const auto pool =
-            lm.make_kv_pool(batch * lm.kv_blocks_per_sequence());
-        std::vector<std::unique_ptr<core::LmDecoder>> decoders;
-        std::vector<core::LmDecoder*> ptrs;
+      // Batched route: every decoder draws from one shared pool.
+      const auto pool = lm.make_kv_pool(batch * lm.kv_blocks_per_sequence());
+      std::vector<std::unique_ptr<core::LmDecoder>> decoders;
+      std::vector<core::LmDecoder*> ptrs;
+      for (std::size_t i = 0; i < batch; ++i) {
+        decoders.push_back(std::make_unique<core::LmDecoder>(lm, pool));
+        ptrs.push_back(decoders.back().get());
+      }
+      for (std::size_t t = 0; t < steps; ++t) {
+        std::vector<int> step;
+        for (std::size_t i = 0; i < batch; ++i) step.push_back(ids[i][t]);
+        const std::vector<std::vector<float>> got =
+            core::LmDecoder::advance_batch(ptrs, step);
+        ASSERT_EQ(got.size(), batch);
         for (std::size_t i = 0; i < batch; ++i) {
-          decoders.push_back(std::make_unique<core::LmDecoder>(lm, pool));
-          ptrs.push_back(decoders.back().get());
+          ASSERT_EQ(got[i].size(), want[i][t].size());
+          for (std::size_t j = 0; j < got[i].size(); ++j)
+            ASSERT_EQ(got[i][j], want[i][t][j])
+                << kernels::backend_name(b) << " stream " << i << " step "
+                << t << " logit " << j;
         }
-        for (std::size_t t = 0; t < steps; ++t) {
-          std::vector<int> step;
-          for (std::size_t i = 0; i < batch; ++i) step.push_back(ids[i][t]);
-          const std::vector<std::vector<float>> got =
-              core::LmDecoder::advance_batch(ptrs, step);
-          ASSERT_EQ(got.size(), batch);
-          for (std::size_t i = 0; i < batch; ++i) {
-            ASSERT_EQ(got[i].size(), want[i][t].size());
-            for (std::size_t j = 0; j < got[i].size(); ++j)
-              ASSERT_EQ(got[i][j], want[i][t][j])
-                  << kernels::backend_name(b) << (quant_on ? "/quant" : "")
-                  << " stream " << i << " step " << t << " logit " << j;
-          }
-        }
-      });
-    }
+      }
+    });
   }
 }
 
@@ -725,28 +714,71 @@ TEST(PackedWeights, SteadyStateAdvanceBatchPacksNothing) {
       if (name == "nn.gemm.weight_packs") return value;
     return std::uint64_t{0};
   };
-  for (const bool quant_on : {false, true}) {
-    QuantGuard quant_guard(quant_on);
-    metrics::set_enabled(true);
-    metrics::reset();
-    std::vector<core::LmDecoder> owned;
-    for (std::size_t b = 0; b < ids.size(); ++b) owned.emplace_back(lm);
-    std::vector<core::LmDecoder*> decoders;
-    for (auto& d : owned) decoders.push_back(&d);
-    std::vector<int> step(ids.size());
-    const auto advance = [&](std::size_t t) {
-      for (std::size_t b = 0; b < ids.size(); ++b) step[b] = ids[b][t];
-      core::LmDecoder::advance_batch(decoders, step);
-    };
-    // The first step packs: fp32 panels on the fresh model, then int8
-    // panels once quant is switched on.
-    advance(0);
-    const std::uint64_t warmed = packs();
-    EXPECT_GT(warmed, 0u) << "quant=" << quant_on;
-    for (std::size_t t = 1; t < ids[0].size(); ++t) advance(t);
-    EXPECT_EQ(packs(), warmed) << "quant=" << quant_on;
-    metrics::set_enabled(false);
-  }
+  metrics::set_enabled(true);
+  metrics::reset();
+  std::vector<core::LmDecoder> owned;
+  for (std::size_t b = 0; b < ids.size(); ++b) owned.emplace_back(lm);
+  std::vector<core::LmDecoder*> decoders;
+  for (auto& d : owned) decoders.push_back(&d);
+  std::vector<int> step(ids.size());
+  const auto advance = [&](std::size_t t) {
+    for (std::size_t b = 0; b < ids.size(); ++b) step[b] = ids[b][t];
+    core::LmDecoder::advance_batch(decoders, step);
+  };
+  // The first step packs the fresh model's panels; no later step does.
+  advance(0);
+  const std::uint64_t warmed = packs();
+  EXPECT_GT(warmed, 0u);
+  for (std::size_t t = 1; t < ids[0].size(); ++t) advance(t);
+  EXPECT_EQ(packs(), warmed);
+  metrics::set_enabled(false);
+}
+
+TEST(PackedWeights, CacheRepacksAfterWeightMutation) {
+  Rng rng(11);
+  const Tensor x = Tensor::randn({3, 32}, rng, 1.0f, false);
+  Tensor w = Tensor::randn({32, 16}, rng, 1.0f, false);
+  const Tensor bias = Tensor::randn({16}, rng, 1.0f, false);
+  nn::PackedWeights cache;
+  nn::InferenceGuard inference;
+  const Tensor before =
+      nn::packed_linear(x, w.data().data(), 32, 16, 16, 1, bias, cache);
+  const std::vector<float> before_vals(before.data().begin(),
+                                       before.data().end());
+
+  // Mutate the weights in place, then bump the epoch (the optimizer does
+  // this itself; done by hand here to isolate the cache).
+  for (float& v : w.data()) v *= 2.0f;
+  nn::bump_weight_epoch();
+
+  const Tensor after =
+      nn::packed_linear(x, w.data().data(), 32, 16, 16, 1, bias, cache);
+  nn::PackedWeights fresh;
+  const Tensor want =
+      nn::packed_linear(x, w.data().data(), 32, 16, 16, 1, bias, fresh);
+  const std::vector<float> after_vals(after.data().begin(),
+                                      after.data().end());
+  EXPECT_EQ(after_vals,
+            std::vector<float>(want.data().begin(), want.data().end()));
+  EXPECT_NE(after_vals, before_vals);  // the doubled weights really moved it
+}
+
+TEST(PackedWeights, OptimizerStepAndCheckpointLoadBumpEpoch) {
+  Rng rng(12);
+  nn::Parameter p{"w", Tensor::randn({8, 8}, rng, 1.0f, true)};
+  nn::ParameterList params = {p};
+  Tensor loss = nn::mean(nn::matmul(p.tensor, p.tensor));
+  loss.backward();  // populate the gradient the optimizer consumes
+
+  const std::uint64_t e0 = nn::weight_epoch();
+  nn::Sgd sgd(0.1f);
+  sgd.step(params);
+  const std::uint64_t e1 = nn::weight_epoch();
+  EXPECT_GT(e1, e0);
+
+  const auto blob = nn::save_parameters(params);
+  ASSERT_TRUE(nn::load_parameters(blob, params));
+  EXPECT_GT(nn::weight_epoch(), e1);
 }
 
 }  // namespace

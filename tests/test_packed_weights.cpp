@@ -2,9 +2,8 @@
 // threads decode on one model while a third keeps bumping the weight
 // epoch, so every layer's panels are repacked over and over under the
 // readers. Readers hold an immutable snapshot for the whole GEMM, so the
-// logits must stay bitwise equal to a quiet single-thread decode — in the
-// fp32 route and the int8 route. Part of the `concurrency` ctest label,
-// which the CI lane runs under TSan.
+// logits must stay bitwise equal to a quiet single-thread decode. Part of
+// the `concurrency` ctest label, which the CI lane runs under TSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,12 +11,10 @@
 #include <vector>
 
 #include "core/traffic_lm.h"
-#include "nn/quant.h"
+#include "nn/packed.h"
 
 namespace netfm {
 namespace {
-
-namespace quant = nn::quant;
 
 tok::Vocabulary tiny_vocab() {
   tok::Vocabulary v;
@@ -37,38 +34,34 @@ TEST(PackedWeightsConcurrency, DecodersStayBitwiseWhileEpochBumps) {
                                 vocab.id("dir_dn"), vocab.id("udp")};
   constexpr int kRounds = 12;
 
-  for (const bool quant_on : {false, true}) {
-    quant::set_enabled(quant_on);
-    const core::TrafficLM lm(vocab, config);
-    std::vector<std::vector<float>> want;
-    {
-      core::LmDecoder decoder(lm);
-      for (int id : ids) want.push_back(decoder.advance(id));
-    }
-
-    std::atomic<bool> done{false};
-    std::atomic<int> mismatches{0};
-    std::thread bumper([&] {
-      while (!done.load(std::memory_order_relaxed)) {
-        quant::bump_weight_epoch();
-        std::this_thread::yield();
-      }
-    });
-    const auto decode = [&] {
-      for (int round = 0; round < kRounds; ++round) {
-        core::LmDecoder decoder(lm);
-        for (std::size_t t = 0; t < ids.size(); ++t)
-          if (decoder.advance(ids[t]) != want[t]) mismatches.fetch_add(1);
-      }
-    };
-    std::thread a(decode), b(decode);
-    a.join();
-    b.join();
-    done.store(true, std::memory_order_relaxed);
-    bumper.join();
-    EXPECT_EQ(mismatches.load(), 0) << "quant=" << quant_on;
+  const core::TrafficLM lm(vocab, config);
+  std::vector<std::vector<float>> want;
+  {
+    core::LmDecoder decoder(lm);
+    for (int id : ids) want.push_back(decoder.advance(id));
   }
-  quant::set_enabled(false);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::thread bumper([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      nn::bump_weight_epoch();
+      std::this_thread::yield();
+    }
+  });
+  const auto decode = [&] {
+    for (int round = 0; round < kRounds; ++round) {
+      core::LmDecoder decoder(lm);
+      for (std::size_t t = 0; t < ids.size(); ++t)
+        if (decoder.advance(ids[t]) != want[t]) mismatches.fetch_add(1);
+    }
+  };
+  std::thread a(decode), b(decode);
+  a.join();
+  b.join();
+  done.store(true, std::memory_order_relaxed);
+  bumper.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

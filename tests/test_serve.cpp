@@ -22,7 +22,6 @@
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "common/threadpool.h"
-#include "nn/quant.h"
 #include "core/netfm.h"
 #include "core/traffic_lm.h"
 #include "serve/protocol.h"
@@ -725,7 +724,6 @@ TEST(Scheduler, DeadlineExpiryShedsTypedAtDequeueAndInBatch) {
 TEST(Scheduler, DegradationLadderWalksUpShedsGenerateAndWalksDown) {
   const tok::Vocabulary vocab = tiny_vocab();
   const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
-  const bool quant_configured = nn::quant::enabled();
   serve::SchedulerOptions options;
   options.degrade = true;
   options.max_queue = 256;
@@ -786,15 +784,13 @@ TEST(Scheduler, DegradationLadderWalksUpShedsGenerateAndWalksDown) {
     EXPECT_EQ(reply.score, expected[s]) << "session " << s;
   }
 
-  // Calm ticks walk the ladder home; the process-global int8 switch was
-  // never touched.
+  // Calm ticks walk the ladder home.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (scheduler.degrade_level() != 0 &&
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(scheduler.degrade_level(), 0);
-  EXPECT_EQ(nn::quant::enabled(), quant_configured);
 }
 
 TEST(Scheduler, DrainAnswersInFlightAndShedsNewWork) {
@@ -1139,6 +1135,9 @@ TEST_F(HttpServerTest, HealthzAlwaysUpAndReadyzTracksWorker) {
 
 TEST_F(HttpServerTest, DeadlineHeaderShedsParkedRequestTyped) {
   // A stalled first tick parks the second request past its header budget.
+  // @1 counts evaluations since the last reset, and earlier tests in this
+  // process may already have evaluated the point.
+  fault::reset();
   fault::Scope scope("serve.tick.stall=@1");
   HttpClient slow(server_.port());
   HttpClient doomed(server_.port());
@@ -1216,6 +1215,7 @@ TEST(HttpServerWatchdog, ReadyzFlipsWhenWorkerWedgesAndRecovers) {
   options.degrade = false;
   options.tick_stall_ms = 1200;       // wedge far past the stale window
   options.heartbeat_stale_ms = 250;
+  fault::reset();  // @1 counts from the last reset, not from this test
   fault::Scope scope("serve.tick.stall=@1");  // exactly one wedged tick
   serve::Scheduler scheduler(lm, nullptr, options);
   serve::HttpServer server(scheduler);
