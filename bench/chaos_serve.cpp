@@ -1,10 +1,10 @@
 // Chaos soak for the serving layer: drives the load_serve request shape
 // through the scheduler and the loopback HTTP server while a layered
 // fault::Scope fires through every serve-path injection point —
-// serve.conn.drop (connection severed pre-reply), serve.session.evict
-// (decoder pool pressure), nn.workspace.oom (allocation failure inside a
-// forward), core.decode.crash (crash mid-decode), and serve.tick.stall
-// (wedged scheduler tick).
+// serve.conn.drop (connection severed pre-reply), model.kv.alloc (KV
+// block pool runs dry mid-decode), nn.workspace.oom (allocation failure
+// inside a forward), core.decode.crash (crash mid-decode), and
+// serve.tick.stall (wedged scheduler tick).
 //
 // The soak's contract, asserted at exit (non-zero on violation) and gated
 // in CI via check_bench_json.py --chaos-gate:
@@ -205,9 +205,6 @@ int main() {
   scheduler_options.max_queue = 512;
   scheduler_options.max_batch = 16;
   scheduler_options.per_session_pending = 4;
-  // Smaller than the session population: new-session checkouts keep
-  // recycling decoders, which is exactly where serve.session.evict bites.
-  scheduler_options.session_capacity = std::max<std::size_t>(8, kSessions / 2);
   scheduler_options.default_deadline_ms = 10'000;
   scheduler_options.degrade_queue_high = 128;
   scheduler_options.degrade_queue_low = 16;
@@ -231,7 +228,7 @@ int main() {
   const auto soak_start = Clock::now();
   {
     fault::Scope chaos(
-        "seed=7,serve.conn.drop=0.05,serve.session.evict=0.1,"
+        "seed=7,serve.conn.drop=0.05,model.kv.alloc=0.05,"
         "nn.workspace.oom=0.0005,core.decode.crash=0.02,"
         "serve.tick.stall=0.08");
 
@@ -387,7 +384,7 @@ int main() {
 
   // Every fault point must have actually fired — a silent soak is a
   // broken soak, not a passing one.
-  const char* kPoints[] = {"serve.conn.drop", "serve.session.evict",
+  const char* kPoints[] = {"serve.conn.drop", "model.kv.alloc",
                            "nn.workspace.oom", "core.decode.crash",
                            "serve.tick.stall"};
   std::uint64_t point_fires[5] = {0, 0, 0, 0, 0};
@@ -449,8 +446,9 @@ int main() {
        static_cast<double>(
            counter_or_zero(snap, "serve.rejected.deadline_exceeded")),
        "count"},
-      {"chaos_serve", "session_evictions",
-       static_cast<double>(counter_or_zero(snap, "serve.session.evicted")),
+      {"chaos_serve", "context_full_rejects",
+       static_cast<double>(
+           counter_or_zero(snap, "serve.rejected.context_full")),
        "count"},
       {"chaos_serve", "tick_stalls",
        static_cast<double>(counter_or_zero(snap, "serve.tick.stalled")),

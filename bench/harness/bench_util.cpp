@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string_view>
 
@@ -20,6 +21,24 @@
 
 namespace netfm::bench {
 namespace {
+
+/// Every bench binary writes BENCH_<name>.json into the working directory,
+/// and the source root holds the committed baselines under those names. So
+/// a bench started there stops before it runs; a baseline is regenerated
+/// by running in build/bench and copying the file over.
+[[maybe_unused]] const bool g_outside_source_root = [] {
+  std::error_code ec;
+  if (std::filesystem::equivalent(std::filesystem::current_path(ec),
+                                  NETFM_SOURCE_DIR, ec)) {
+    std::fprintf(stderr,
+                 "bench: refusing to run in the source root %s, where "
+                 "BENCH_*.json would overwrite the committed baselines; "
+                 "run from build/bench instead\n",
+                 NETFM_SOURCE_DIR);
+    std::exit(1);
+  }
+  return true;
+}();
 
 /// Report name for the exit-time registry dump; set once by banner().
 std::string& report_name() {

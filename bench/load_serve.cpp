@@ -191,7 +191,6 @@ int main() {
   serve::SchedulerOptions scheduler_options;
   scheduler_options.max_queue = 4096;
   scheduler_options.max_batch = 32;
-  scheduler_options.session_capacity = kSessions;
   serve::Scheduler scheduler(lm, nullptr, scheduler_options);
 
   // ---- Phase 1: in-process scheduler load -------------------------------
@@ -359,16 +358,6 @@ int main() {
        static_cast<double>(
            counter_or_zero(snap, "serve.rejected.session_busy")),
        "count"},
-      {"load_serve", "serve.rejected.sessions_full",
-       static_cast<double>(
-           counter_or_zero(snap, "serve.rejected.sessions_full")),
-       "count"},
-      {"load_serve", "serve.session.evicted",
-       static_cast<double>(counter_or_zero(snap, "serve.session.evicted")),
-       "count"},
-      {"load_serve", "serve.kv.evicted_blocks",
-       static_cast<double>(counter_or_zero(snap, "serve.kv.evicted_blocks")),
-       "block"},
       // Resilience machinery must stay idle at baseline load: the
       // serve-gate rejects a run where the degradation ladder moved or
       // default deadlines expired work.
@@ -384,7 +373,7 @@ int main() {
   // Peak paged-KV footprint across the whole run: the serve-gate's
   // --max-kv-bytes ceiling asserts this stays under the dense
   // sessions x max_seq_len reservation the block pool replaced.
-  if (const auto& kv = scheduler.sessions().kv_pool()) {
+  if (const auto& kv = scheduler.kv_pool()) {
     const double peak_blocks =
         static_cast<double>(kv->peak_blocks_in_use());
     records.push_back({"load_serve", "serve.kv.peak_blocks", peak_blocks,

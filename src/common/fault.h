@@ -29,10 +29,10 @@
 //   core.lm.loss / .crash          same for TrafficLM training
 //   core.decode.crash              crash inside LmDecoder::advance_batch
 //   nn.workspace.oom               Workspace::acquire throws bad_alloc
+//   model.kv.alloc                 KvBlockPool::try_alloc reports a dry pool
 //   data.shard.corrupt             a corpus shard fails validation at open
 //   data.mmap.fail                 MappedFile::open reports failure
 //   serve.conn.drop                server severs a connection pre-reply
-//   serve.session.evict            SessionPool force-evicts an idle session
 //   serve.tick.stall               scheduler tick stalls (wedged-worker sim)
 #pragma once
 

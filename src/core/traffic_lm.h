@@ -96,9 +96,9 @@ class TrafficLM {
       std::span<const SampleOptions> options, std::span<Rng* const> rngs,
       std::span<LmDecoder* const> decoders) const;
 
-  /// A shared paged KV block pool for this model: `num_blocks` 0 defers to
-  /// NETFM_KV_BLOCKS, else one full sequence. Hand it to the pool-taking
-  /// LmDecoder constructor so many sessions share one reservation.
+  /// A shared paged KV block pool for this model: `num_blocks` 0 means one
+  /// full sequence. Hand it to the pool-taking LmDecoder constructor so
+  /// many decoders share one reservation.
   std::shared_ptr<model::KvBlockPool> make_kv_pool(
       std::size_t num_blocks = 0) const;
 
@@ -158,8 +158,9 @@ class LmDecoder {
   /// Decoder drawing KV blocks from a shared pool (from
   /// TrafficLM::make_kv_pool). advance() throws
   /// model::ContextFullError{pool_exhausted()=true} when the pool runs
-  /// dry, leaving the cache untouched so the step can be retried after
-  /// release_kv() elsewhere frees blocks.
+  /// dry, leaving the cache untouched so the step can be retried once
+  /// other decoders have returned blocks. The destructor returns the
+  /// decoder's blocks to the pool.
   LmDecoder(const TrafficLM& lm, std::shared_ptr<model::KvBlockPool> pool);
 
   /// Feeds `token_id` at position cached_tokens() and returns the logits
@@ -177,12 +178,8 @@ class LmDecoder {
       std::span<LmDecoder* const> decoders, std::span<const int> token_ids);
 
   /// Forgets the cached prefix; the next advance() starts a new sequence.
-  /// Held KV blocks are kept for reuse (release_kv() returns them).
+  /// Held KV blocks are kept for reuse until the decoder is destroyed.
   void reset() noexcept { cache_.reset(); }
-
-  /// reset() plus returning held KV blocks to the pool — what LRU session
-  /// eviction calls so idle sessions stop pinning pool memory.
-  void release_kv() noexcept { cache_.release(); }
 
   std::size_t cached_tokens() const noexcept { return cache_.length; }
   std::size_t held_kv_blocks() const noexcept { return cache_.held_blocks(); }

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "common/fault.h"
 #include "common/metrics.h"
 
 namespace netfm::model {
@@ -38,11 +39,6 @@ std::size_t default_kv_block_tokens() noexcept {
     const std::size_t v = env_size("NETFM_KV_BLOCK", 16);
     return v == 0 ? std::size_t{16} : v;
   }();
-  return value;
-}
-
-std::size_t default_kv_pool_blocks() noexcept {
-  static const std::size_t value = env_size("NETFM_KV_BLOCKS", 0);
   return value;
 }
 
@@ -85,6 +81,8 @@ KvBlockPool::~KvBlockPool() {
 }
 
 bool KvBlockPool::try_alloc(std::uint32_t* block) {
+  static const auto f_alloc = fault::point("model.kv.alloc");
+  if (f_alloc.fire()) return false;
   const std::lock_guard<std::mutex> lock(state_->mutex);
   if (state_->free_list.empty()) return false;
   *block = state_->free_list.back();

@@ -46,10 +46,6 @@ class ContextFullError : public std::invalid_argument {
 /// Tokens per KV block: NETFM_KV_BLOCK, default 16. Read once.
 std::size_t default_kv_block_tokens() noexcept;
 
-/// Shared-pool block count override: NETFM_KV_BLOCKS, 0 when unset. Read
-/// once. Consumers fall back to their own sizing rule when 0.
-std::size_t default_kv_pool_blocks() noexcept;
-
 /// ceil(tokens / block_tokens): blocks needed to hold `tokens` tokens.
 constexpr std::size_t kv_blocks_for(std::size_t tokens,
                                     std::size_t block_tokens) noexcept {
@@ -65,7 +61,7 @@ class KvBlockPool {
   KvBlockPool& operator=(const KvBlockPool&) = delete;
 
   /// Pops a free block into *block. False (and *block untouched) when the
-  /// pool is exhausted.
+  /// pool is exhausted, or when the `model.kv.alloc` fault point fires.
   bool try_alloc(std::uint32_t* block);
   /// Returns `block` to the free list.
   void free_block(std::uint32_t block) noexcept;

@@ -330,7 +330,6 @@ std::size_t TransformerEncoder::blocks_per_sequence() const noexcept {
 
 std::shared_ptr<KvBlockPool> TransformerEncoder::make_block_pool(
     std::size_t num_blocks) const {
-  if (num_blocks == 0) num_blocks = default_kv_pool_blocks();
   if (num_blocks == 0) num_blocks = blocks_per_sequence();
   return std::make_shared<KvBlockPool>(config_.num_layers, config_.num_heads,
                                        config_.head_dim(),
@@ -350,12 +349,9 @@ PagedKvCache TransformerEncoder::make_paged_cache(
 }
 
 PagedKvCache TransformerEncoder::make_paged_cache() const {
-  // A private pool sized for exactly one full sequence (independent of the
-  // NETFM_KV_BLOCKS shared-pool override): the session can always decode
-  // to max_seq_len.
-  return make_paged_cache(std::make_shared<KvBlockPool>(
-      config_.num_layers, config_.num_heads, config_.head_dim(),
-      default_kv_block_tokens(), blocks_per_sequence()));
+  // A private pool sized for exactly one full sequence: the cache can
+  // always decode to max_seq_len.
+  return make_paged_cache(make_block_pool());
 }
 
 Tensor TransformerEncoder::forward_incremental_batch(

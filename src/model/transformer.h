@@ -137,9 +137,8 @@ class TransformerEncoder {
   nn::Tensor forward(const Batch& batch, bool train = false) const;
 
   /// A shared paged KV block pool sized for this encoder. `num_blocks` 0
-  /// means NETFM_KV_BLOCKS when set, else exactly one full sequence
-  /// (ceil(max_seq_len / block_tokens)); block size comes from
-  /// NETFM_KV_BLOCK (default 16 tokens).
+  /// means exactly one full sequence (ceil(max_seq_len / block_tokens));
+  /// block size comes from NETFM_KV_BLOCK (default 16 tokens).
   std::shared_ptr<KvBlockPool> make_block_pool(std::size_t num_blocks = 0) const;
 
   /// Blocks one max_seq_len sequence needs under the configured block size.

@@ -65,7 +65,6 @@ std::string_view reject_reason_name(RejectReason reason) noexcept {
   switch (reason) {
     case RejectReason::kQueueFull: return "queue_full";
     case RejectReason::kSessionBusy: return "session_busy";
-    case RejectReason::kSessionsFull: return "sessions_full";
     case RejectReason::kShuttingDown: return "shutting_down";
     case RejectReason::kDeadlineExceeded: return "deadline_exceeded";
     case RejectReason::kOverloaded: return "overloaded";

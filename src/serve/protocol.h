@@ -5,7 +5,7 @@
 // per request, one per reply — because the server's contract is the
 // library's contract: a served `score` or `next_logits` reply carries the
 // exact bits the direct TrafficLM call returns. Rejections are *typed*
-// (queue full, session busy, sessions full, shutting down) so clients and
+// (queue full, session busy, context full, shutting down, ...) so clients and
 // load generators can distinguish backpressure from failure.
 #pragma once
 
@@ -31,26 +31,24 @@ enum class Op : std::uint8_t {
 enum class RejectReason : std::uint8_t {
   kQueueFull,         // bounded admission queue at capacity
   kSessionBusy,       // per-session pending cap reached
-  kSessionsFull,      // decoder pool exhausted and nothing evictable
   kShuttingDown,      // scheduler is stopping/draining
   kDeadlineExceeded,  // request expired before the model ran it
   kOverloaded,        // degradation ladder is shedding this op class
-  kContextFull,       // session at max context, or KV block pool exhausted
+  kContextFull,       // request at max context, or KV block pool exhausted
 };
 
 /// Every RejectReason value, for exhaustive client-side decoding.
 inline constexpr RejectReason kAllRejectReasons[] = {
-    RejectReason::kQueueFull,    RejectReason::kSessionBusy,
-    RejectReason::kSessionsFull, RejectReason::kShuttingDown,
-    RejectReason::kDeadlineExceeded, RejectReason::kOverloaded,
-    RejectReason::kContextFull,
+    RejectReason::kQueueFull,        RejectReason::kSessionBusy,
+    RejectReason::kShuttingDown,     RejectReason::kDeadlineExceeded,
+    RejectReason::kOverloaded,       RejectReason::kContextFull,
 };
 
 std::string_view op_name(Op op) noexcept;
 std::string_view reject_reason_name(RejectReason reason) noexcept;
 
-/// One client request. `session` keys the per-session decoder pool for the
-/// decoder-backed ops (score/generate); next_logits/embed are stateless.
+/// One client request. `session` keys admission fairness (the per-session
+/// pending cap); every op is stateless.
 struct Request {
   Op op = Op::kScore;
   std::uint64_t session = 0;

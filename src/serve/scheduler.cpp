@@ -60,7 +60,10 @@ Scheduler::Scheduler(const core::TrafficLM& lm, const core::NetFM* fm,
     : lm_(&lm),
       fm_(fm),
       options_(options),
-      pool_(lm, options.session_capacity, options.kv_blocks) {
+      kv_pool_(lm.make_kv_pool(options.kv_blocks != 0
+                                   ? options.kv_blocks
+                                   : options.max_batch *
+                                         lm.kv_blocks_per_sequence())) {
   if (options_.degrade_queue_high == 0)
     options_.degrade_queue_high =
         std::max<std::size_t>(1, options_.max_queue * 3 / 4);
@@ -322,8 +325,6 @@ void Scheduler::run_tick(std::vector<Pending>& batch) {
   static const auto h_reply = metrics::histogram("serve.reply_ns");
   static const auto h_size =
       metrics::histogram("serve.batch.requests", "request");
-  static const auto c_sessions_full =
-      metrics::counter("serve.rejected.sessions_full");
   static const auto c_deadline =
       metrics::counter("serve.rejected.deadline_exceeded");
   static const auto c_deadline_dequeue =
@@ -385,31 +386,43 @@ void Scheduler::run_tick(std::vector<Pending>& batch) {
 
   const auto batch_start = Clock::now();
 
+  const auto reject_context_full = [&](std::size_t i) {
+    c_context_full.add();
+    replies[i] =
+        Reply::rejected(RejectReason::kContextFull, retry_hint_ms(queued()));
+  };
+
   // Runs `group` over all `members` (indices into batch) as one batched
   // call. If that throws (a bad input, an injected crash, a dry KV pool),
   // each member runs alone, so one poisoned request can't take down its
   // group-mates; a member that still throws gets its own typed reply.
   // Groups write replies only after their batched call returns and build
-  // their inputs afresh per call (decoders reset, RNGs reseeded), so a
-  // failed attempt leaves nothing behind.
+  // their inputs afresh per call (decoders, RNGs), so a failed attempt
+  // leaves nothing behind.
   const auto run_group = [&](std::span<const std::size_t> members,
                              const auto& group) {
     if (members.empty()) return;
-    bool group_ok = false;
+    bool retry_alone = false;
     try {
       group(members);
-      group_ok = true;
+    } catch (const model::ContextFullError&) {
+      // Run alone, a lone member would ask the same pool for the same
+      // blocks again.
+      if (members.size() == 1)
+        reject_context_full(members[0]);
+      else
+        retry_alone = true;
     } catch (const fault::CrashInjected&) {
+      retry_alone = true;
     } catch (const std::exception&) {
+      retry_alone = true;
     }
-    for (std::size_t m = 0; !group_ok && m < members.size(); ++m) {
+    for (std::size_t m = 0; retry_alone && m < members.size(); ++m) {
       const std::size_t i = members[m];
       try {
         group(members.subspan(m, 1));
       } catch (const model::ContextFullError&) {
-        c_context_full.add();
-        replies[i] = Reply::rejected(RejectReason::kContextFull,
-                                     retry_hint_ms(queued()));
+        reject_context_full(i);
       } catch (const fault::CrashInjected& crash) {
         replies[i] = Reply::errored("fault injected: " + crash.point);
       } catch (const std::exception& e) {
@@ -418,17 +431,15 @@ void Scheduler::run_tick(std::vector<Pending>& batch) {
     }
     touch_heartbeat();
   };
-  const auto pending_ops = [&](std::initializer_list<Op> ops) {
+  const auto pending_ops = [&](Op op) {
     std::vector<std::size_t> members;
     for (std::size_t i = 0; i < batch.size(); ++i)
-      if (!done[i] && std::find(ops.begin(), ops.end(),
-                                batch[i].request.op) != ops.end())
-        members.push_back(i);
+      if (!done[i] && batch[i].request.op == op) members.push_back(i);
     return members;
   };
 
   // One padded forward for all next_logits requests in this tick.
-  run_group(pending_ops({Op::kNextLogits}),
+  run_group(pending_ops(Op::kNextLogits),
             [&](std::span<const std::size_t> group) {
               std::vector<std::vector<int>> ids;
               for (const std::size_t i : group)
@@ -439,7 +450,7 @@ void Scheduler::run_tick(std::vector<Pending>& batch) {
             });
 
   // One padded forward per pooling window for the embed requests.
-  std::vector<std::size_t> embed_index = pending_ops({Op::kEmbed});
+  std::vector<std::size_t> embed_index = pending_ops(Op::kEmbed);
   if (fm_ == nullptr) {
     for (const std::size_t i : embed_index)
       replies[i] = Reply::errored("embed is not served (no NetFM)");
@@ -466,77 +477,61 @@ void Scheduler::run_tick(std::vector<Pending>& batch) {
     at = end;
   }
 
-  // Decoder-backed ops: per-session paged KV caches drawn from the shared
-  // block pool. Requests are grouped into waves — one request per session
-  // per wave, in batch order, so several queued ops for one session run in
-  // sequence, not against each other — and each wave's score and generate
-  // groups run as lockstep batched decode steps (one padded forward per
-  // step across the group) via score_batch/sample_batch.
-  std::vector<std::size_t> rest = pending_ops({Op::kScore, Op::kGenerate});
-  if (!rest.empty()) {
-    // Headroom for this tick's worst case: evicting idle LRU sessions to
-    // free blocks is bitwise-invisible (their next request replays from a
-    // cold cache either way).
-    pool_.reclaim_kv(rest.size() * pool_.kv_blocks_per_sequence());
-  }
-  std::vector<std::optional<SessionPool::Lease>> leases(batch.size());
-  const auto score_group = [&](std::span<const std::size_t> group) {
-    std::vector<std::vector<std::string>> sequences;
-    std::vector<core::LmDecoder*> decoders;
-    for (const std::size_t i : group) {
-      sequences.push_back(batch[i].request.tokens);
-      decoders.push_back(&leases[i]->decoder());
-    }
-    const auto scores = lm_->score_batch(sequences, decoders);
-    for (std::size_t g = 0; g < group.size(); ++g)
-      replies[group[g]].score = scores[g];
+  // Decoder-backed ops: every request decodes on a fresh decoder of its
+  // own, built inside the group call, so its KV blocks return to the pool
+  // when the call returns or unwinds. Each group runs as lockstep batched
+  // decode steps (one padded forward per step across the group).
+  std::size_t kv_peak_blocks = 0;
+  const auto make_decoders = [&](std::size_t n) {
+    std::vector<core::LmDecoder> owned;
+    owned.reserve(n);
+    for (std::size_t g = 0; g < n; ++g) owned.emplace_back(*lm_, kv_pool_);
+    return owned;
   };
-  const auto generate_group = [&](std::span<const std::size_t> group) {
-    std::vector<core::SampleOptions> sampling;
-    std::vector<Rng> rngs;
-    rngs.reserve(group.size());
-    std::vector<Rng*> rng_ptrs;
-    std::vector<core::LmDecoder*> decoders;
-    for (const std::size_t i : group) {
-      sampling.push_back(batch[i].request.sampling);
-      rngs.emplace_back(batch[i].request.seed);
-      rng_ptrs.push_back(&rngs.back());
-      decoders.push_back(&leases[i]->decoder());
-    }
-    auto sampled = lm_->sample_batch(sampling, rng_ptrs, decoders);
-    for (std::size_t g = 0; g < group.size(); ++g)
-      replies[group[g]].tokens = std::move(sampled[g]);
+  const auto pointers = [](std::vector<core::LmDecoder>& owned) {
+    std::vector<core::LmDecoder*> out;
+    for (core::LmDecoder& d : owned) out.push_back(&d);
+    return out;
   };
-  while (!rest.empty()) {
-    std::vector<std::size_t> wave, later, scores, generates;
-    for (const std::size_t i : rest) {
-      const bool dup = std::any_of(
-          wave.begin(), wave.end(), [&](std::size_t w) {
-            return batch[w].request.session == batch[i].request.session;
-          });
-      (dup ? later : wave).push_back(i);
-    }
-    rest.swap(later);
-    for (const std::size_t i : wave) {
-      RejectReason why = RejectReason::kSessionsFull;
-      leases[i] = pool_.checkout(batch[i].request.session, &why);
-      if (!leases[i]) {
-        if (why == RejectReason::kSessionsFull) c_sessions_full.add();
-        replies[i] = Reply::rejected(why, retry_hint_ms(queued()));
-      } else {
-        (batch[i].request.op == Op::kScore ? scores : generates).push_back(i);
-      }
-    }
-    run_group(scores, score_group);
-    run_group(generates, generate_group);
-    // Leases drop here, so the next wave can check the same sessions out
-    // again.
-    for (const std::size_t i : wave) leases[i].reset();
-  }
-  if (const auto& kv = pool_.kv_pool()) {
-    g_kv_blocks.set(static_cast<double>(kv->blocks_in_use()));
-    g_kv_bytes.set(static_cast<double>(kv->bytes_in_use()));
-  }
+  const auto note_kv = [&] {
+    // Decoders only grow, so the pool is at this group's peak now.
+    kv_peak_blocks = std::max(kv_peak_blocks, kv_pool_->blocks_in_use());
+  };
+  run_group(pending_ops(Op::kScore),
+            [&](std::span<const std::size_t> group) {
+              std::vector<std::vector<std::string>> sequences;
+              for (const std::size_t i : group)
+                sequences.push_back(batch[i].request.tokens);
+              std::vector<core::LmDecoder> decoders =
+                  make_decoders(group.size());
+              const auto scores =
+                  lm_->score_batch(sequences, pointers(decoders));
+              note_kv();
+              for (std::size_t g = 0; g < group.size(); ++g)
+                replies[group[g]].score = scores[g];
+            });
+  run_group(pending_ops(Op::kGenerate),
+            [&](std::span<const std::size_t> group) {
+              std::vector<core::SampleOptions> sampling;
+              std::vector<Rng> rngs;
+              rngs.reserve(group.size());
+              std::vector<Rng*> rng_ptrs;
+              for (const std::size_t i : group) {
+                sampling.push_back(batch[i].request.sampling);
+                rngs.emplace_back(batch[i].request.seed);
+                rng_ptrs.push_back(&rngs.back());
+              }
+              std::vector<core::LmDecoder> decoders =
+                  make_decoders(group.size());
+              auto sampled =
+                  lm_->sample_batch(sampling, rng_ptrs, pointers(decoders));
+              note_kv();
+              for (std::size_t g = 0; g < group.size(); ++g)
+                replies[group[g]].tokens = std::move(sampled[g]);
+            });
+  g_kv_blocks.set(static_cast<double>(kv_peak_blocks));
+  g_kv_bytes.set(static_cast<double>(kv_peak_blocks *
+                                     kv_pool_->bytes_per_block()));
   h_batch.record(elapsed_ns(batch_start));
 
   const auto reply_start = Clock::now();

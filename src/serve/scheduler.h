@@ -12,10 +12,9 @@
 //                   per-request calls)
 //   embed        -> one padded forward per pooling window via
 //                   NetFM::embed_flows
-//   score        -> lockstep TrafficLM::score_batch over per-session
-//                   KV-cached decoders from the SessionPool
-//   generate     -> seeded TrafficLM::sample_batch through the same
-//                   decoders
+//   score        -> lockstep TrafficLM::score_batch, one fresh KV-cached
+//                   decoder per request
+//   generate     -> seeded TrafficLM::sample_batch, likewise
 //
 // Each group runs through one path: the batched call over all members,
 // and if that throws, the same call over each member alone, so one
@@ -50,16 +49,24 @@
 //                fault::CrashInjected from model code (core.decode.crash)
 //                and bad_alloc (nn.workspace.oom) are caught per request
 //                group, retried per member, and surfaced as a typed error
-//                reply — the worker never dies.
+//                reply — the worker never dies. A dry KV pool (or the
+//                model.kv.alloc point) surfaces as typed kContextFull.
 //
 // Thread confinement: ALL model forwards run on the scheduler's single
 // worker thread. TransformerEncoder::forward is not reentrant on one
 // instance (it reuses a per-instance attention context across calls), so
 // while a scheduler is live, direct batched calls on the same
 // TrafficLM/NetFM from other threads must not overlap in-flight requests.
-// One scheduler per model instance; per-session KV decoding stays safe on
-// other threads because forward_incremental_batch touches only the
-// caller's PagedKvCaches.
+// One scheduler per model instance; KV decoding on other threads stays
+// safe because forward_incremental_batch touches only the caller's
+// PagedKvCaches.
+//
+// KV lives only inside a tick: each score/generate request decodes on its
+// own core::LmDecoder, built inside its group's call and destroyed when
+// the call returns or throws, so its blocks are back in the scheduler's
+// one KvBlockPool before the next group runs. Nothing carries from one
+// request to the next, so two requests from one session may share a
+// group.
 #pragma once
 
 #include <atomic>
@@ -68,6 +75,7 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -75,7 +83,6 @@
 
 #include "core/netfm.h"
 #include "serve/protocol.h"
-#include "serve/session_pool.h"
 
 namespace netfm::serve {
 
@@ -91,10 +98,11 @@ struct SchedulerOptions {
   std::size_t max_queue = 1024;          // bounded admission queue
   std::size_t max_batch = 32;            // requests drained per tick
   std::size_t per_session_pending = 4;   // queued requests per session
-  std::size_t session_capacity = 256;    // SessionPool size
-  /// Shared KV block pool size for the session pool. 0 = NETFM_KV_BLOCKS
-  /// when set, else the SessionPool default (half the dense per-session
-  /// reservation).
+  /// Ignored. Kept only so perfbench/src/decode_window.cpp still compiles;
+  /// the next benchmark change deletes it.
+  std::size_t session_capacity = 0;
+  /// KV block pool size. 0 = max_batch x blocks per max_seq_len sequence,
+  /// one tick's worst case, so a default-sized pool never runs dry.
   std::size_t kv_blocks = 0;
 
   /// Default per-request budget (ms from admission) applied when a request
@@ -172,7 +180,14 @@ class Scheduler {
   /// 2 = also shedding generate).
   int degrade_level() const noexcept { return degrade_level_.load(); }
 
-  SessionPool& sessions() noexcept { return pool_; }
+  /// The KV block pool every score/generate decoder draws from.
+  const std::shared_ptr<model::KvBlockPool>& kv_pool() const noexcept {
+    return kv_pool_;
+  }
+
+  /// Alias of *this, kept only so perfbench/src/layers.cpp still compiles
+  /// (`sessions().kv_pool()`); the next benchmark change deletes it.
+  Scheduler& sessions() noexcept { return *this; }
 
  private:
   struct Pending {
@@ -194,7 +209,7 @@ class Scheduler {
   const core::TrafficLM* lm_;
   const core::NetFM* fm_;
   SchedulerOptions options_;
-  SessionPool pool_;
+  std::shared_ptr<model::KvBlockPool> kv_pool_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_;

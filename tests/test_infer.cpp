@@ -506,9 +506,9 @@ TEST(PagedKv, PoolExhaustionIsTypedAndRollsBack) {
   // A one-block pool shared by two decoders: the first advance takes the
   // only block.
   const auto pool = lm.make_kv_pool(1);
-  core::LmDecoder first(lm, pool);
+  auto first = std::make_unique<core::LmDecoder>(lm, pool);
   core::LmDecoder second(lm, pool);
-  const std::vector<float> cold = first.advance(tok::Vocabulary::kCls);
+  const std::vector<float> cold = first->advance(tok::Vocabulary::kCls);
   EXPECT_EQ(pool->blocks_in_use(), 1u);
 
   try {
@@ -523,9 +523,9 @@ TEST(PagedKv, PoolExhaustionIsTypedAndRollsBack) {
   EXPECT_EQ(second.held_kv_blocks(), 0u);
   EXPECT_EQ(pool->blocks_in_use(), 1u);
 
-  // Freeing the first decoder's block unblocks the retry, which produces
-  // exactly what the first cold advance did.
-  first.release_kv();
+  // Destroying the first decoder frees its block and unblocks the retry,
+  // which produces exactly what the first cold advance did.
+  first.reset();
   EXPECT_EQ(pool->blocks_in_use(), 0u);
   const std::vector<float> retried = second.advance(tok::Vocabulary::kCls);
   ASSERT_EQ(retried.size(), cold.size());
@@ -583,12 +583,12 @@ TEST(PagedKv, ReleaseAndBlockReuseAreBitwiseInvisible) {
   // A pool holding exactly one sequence, so the second decoder can only
   // run on the first decoder's freed (dirty) blocks.
   const auto pool = lm.make_kv_pool(lm.kv_blocks_per_sequence());
-  core::LmDecoder d1(lm, pool);
   std::vector<std::vector<float>> first;
-  for (int id : ids) first.push_back(d1.advance(id));
-  EXPECT_GT(d1.held_kv_blocks(), 0u);
-  d1.release_kv();
-  EXPECT_EQ(d1.cached_tokens(), 0u);
+  {
+    core::LmDecoder d1(lm, pool);
+    for (int id : ids) first.push_back(d1.advance(id));
+    EXPECT_GT(d1.held_kv_blocks(), 0u);
+  }
   EXPECT_EQ(pool->blocks_in_use(), 0u);
 
   core::LmDecoder d2(lm, pool);
@@ -598,11 +598,11 @@ TEST(PagedKv, ReleaseAndBlockReuseAreBitwiseInvisible) {
     for (std::size_t i = 0; i < replay.size(); ++i)
       ASSERT_EQ(replay[i], first[t][i]) << "step " << t << " logit " << i;
   }
-  d2.release_kv();
 
-  // And the releasing decoder itself decodes cleanly again afterwards.
+  // And a reset decoder replays cleanly on its own dirty blocks.
+  d2.reset();
   for (std::size_t t = 0; t < ids.size(); ++t) {
-    const std::vector<float> replay = d1.advance(ids[t]);
+    const std::vector<float> replay = d2.advance(ids[t]);
     for (std::size_t i = 0; i < replay.size(); ++i)
       ASSERT_EQ(replay[i], first[t][i]) << "step " << t << " logit " << i;
   }

@@ -1,12 +1,12 @@
-// Serving layer: wire framing, the per-session decoder pool, the
-// continuous-batching scheduler, and the embedded HTTP server.
+// Serving layer: wire framing, decoder reuse, the continuous-batching
+// scheduler, and the embedded HTTP server.
 //
 // The serving contract is the library contract: a served `score` or
 // `next_logits` reply carries the exact bits the direct TrafficLM call
 // returns, so every equivalence test here compares with exact equality.
 // Runs in its own binary under the ctest label `serve`; the CI TSan lane
-// includes it because the scheduler, session pool, and HTTP handlers are
-// all concurrent by construction.
+// includes it because the scheduler and HTTP handlers are concurrent by
+// construction.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -27,7 +27,6 @@
 #include "serve/protocol.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
-#include "serve/session_pool.h"
 
 namespace netfm {
 namespace {
@@ -351,116 +350,6 @@ TEST(Decoder, ConcurrentSessionsOnDistinctCaches) {
 }
 
 // ---------------------------------------------------------------------------
-// Session pool
-
-TEST(SessionPool, CheckoutReturnAndBusy) {
-  const tok::Vocabulary vocab = tiny_vocab();
-  const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
-  serve::SessionPool pool(lm, 4);
-
-  serve::RejectReason why;
-  auto lease = pool.checkout(1, &why);
-  ASSERT_TRUE(lease.has_value());
-  EXPECT_EQ(pool.live(), 1u);
-
-  // Same session while checked out: busy.
-  EXPECT_FALSE(pool.checkout(1, &why).has_value());
-  EXPECT_EQ(why, serve::RejectReason::kSessionBusy);
-
-  lease.reset();  // give back
-  EXPECT_TRUE(pool.checkout(1, &why).has_value());
-}
-
-TEST(SessionPool, CacheFullRejectsWhenNothingIdle) {
-  const tok::Vocabulary vocab = tiny_vocab();
-  const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
-  serve::SessionPool pool(lm, 2);
-
-  serve::RejectReason why;
-  auto a = pool.checkout(1, &why);
-  auto b = pool.checkout(2, &why);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-
-  // Capacity reached and every decoder checked out: typed rejection.
-  EXPECT_FALSE(pool.checkout(3, &why).has_value());
-  EXPECT_EQ(why, serve::RejectReason::kSessionsFull);
-
-  // Once one is idle, the newcomer evicts it and takes its allocation.
-  a.reset();
-  EXPECT_TRUE(pool.checkout(3, &why).has_value());
-  EXPECT_EQ(pool.live(), 2u);
-  EXPECT_EQ(pool.evictions(), 1u);
-}
-
-TEST(SessionPool, EvictedSessionDecodesCorrectlyAfterRecycle) {
-  const tok::Vocabulary vocab = tiny_vocab();
-  const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
-  serve::SessionPool pool(lm, 1);
-  const std::vector<std::string> tokens = session_tokens(vocab, 9, 5);
-  const double expected = lm.score(tokens);
-
-  serve::RejectReason why;
-  {
-    auto lease = pool.checkout(1, &why);
-    ASSERT_TRUE(lease.has_value());
-    EXPECT_EQ(score_on(lm, tokens, lease->decoder()), expected);
-  }
-  {
-    // Session 2 evicts session 1 and inherits its (reset) decoder.
-    auto lease = pool.checkout(2, &why);
-    ASSERT_TRUE(lease.has_value());
-    EXPECT_EQ(score_on(lm, tokens, lease->decoder()), expected);
-  }
-  EXPECT_EQ(pool.evictions(), 1u);
-}
-
-TEST(SessionPool, EvictFaultPointForcesEvictionBelowCapacity) {
-  const tok::Vocabulary vocab = tiny_vocab();
-  const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
-  serve::SessionPool pool(lm, 8);
-  serve::RejectReason why;
-  pool.checkout(1, &why).reset();
-  {
-    fault::Scope scope("serve.session.evict=1");
-    pool.checkout(2, &why).reset();  // evicts session 1 despite free space
-  }
-  EXPECT_EQ(pool.live(), 1u);
-  EXPECT_EQ(pool.evictions(), 1u);
-}
-
-TEST(SessionPool, ReclaimKvEvictsIdleAndReplaysBitwise) {
-  const tok::Vocabulary vocab = tiny_vocab();
-  const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
-  // Shared pool sized for two full sequences.
-  serve::SessionPool pool(lm, 4, 2 * lm.kv_blocks_per_sequence());
-  const auto& kv = pool.kv_pool();
-  ASSERT_TRUE(kv != nullptr);
-
-  const std::vector<std::string> tokens = session_tokens(vocab, 3, 5);
-  const double expected = lm.score(tokens);
-  serve::RejectReason why;
-  for (std::uint64_t s : {1, 2}) {
-    auto lease = pool.checkout(s, &why);
-    ASSERT_TRUE(lease.has_value());
-    EXPECT_EQ(score_on(lm, tokens, lease->decoder()), expected);
-  }
-  EXPECT_GT(kv->blocks_in_use(), 0u);
-
-  // Reclaiming the whole pool evicts every idle session and frees all of
-  // their blocks.
-  const std::size_t freed = pool.reclaim_kv(kv->capacity_blocks());
-  EXPECT_GT(freed, 0u);
-  EXPECT_EQ(kv->blocks_in_use(), 0u);
-  EXPECT_EQ(pool.live(), 0u);
-
-  // An evicted session re-enters as a new one and replays bitwise.
-  auto lease = pool.checkout(1, &why);
-  ASSERT_TRUE(lease.has_value());
-  EXPECT_EQ(score_on(lm, tokens, lease->decoder()), expected);
-}
-
-// ---------------------------------------------------------------------------
 // Scheduler
 
 TEST(Scheduler, ServedRepliesBitwiseEqualDirectCalls) {
@@ -574,6 +463,73 @@ TEST(Scheduler, ShedsWithTypedRejects) {
   }
 }
 
+TEST(Scheduler, SameSessionRequestsShareATickAndReturnEveryBlock) {
+  const tok::Vocabulary vocab = tiny_vocab();
+  const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
+  constexpr std::size_t kEach = 3;
+  std::vector<std::vector<std::string>> contexts;
+  std::vector<double> expected_scores;
+  std::vector<std::vector<std::string>> expected_samples;
+  core::SampleOptions sampling;
+  sampling.max_tokens = 6;
+  for (std::size_t r = 0; r < kEach; ++r) {
+    contexts.push_back(session_tokens(vocab, 10 + r, 4 + 3 * r));
+    expected_scores.push_back(lm.score(contexts.back()));
+    Rng rng(500 + r);
+    expected_samples.push_back(lm.sample(sampling, rng));
+  }
+
+  serve::SchedulerOptions options;
+  options.per_session_pending = 2 * kEach;
+  options.tick_stall_ms = 300;
+  serve::Scheduler scheduler(lm, nullptr, options);
+
+  // A stalled first tick holds the worker while one session queues all of
+  // its score and generate requests, so the next tick drains them together.
+  fault::reset();  // @1 counts from the last reset, not from this test
+  fault::Scope scope("serve.tick.stall=@1");
+  serve::Request logits;
+  logits.op = serve::Op::kNextLogits;
+  logits.session = 0;
+  logits.ids = session_ids(vocab, 0, 4);
+  std::future<serve::Reply> blocker = scheduler.submit(logits);
+  while (scheduler.queued() != 0 || scheduler.active() == 0)
+    std::this_thread::yield();
+  std::vector<std::future<serve::Reply>> scores, generates;
+  for (std::size_t r = 0; r < kEach; ++r) {
+    serve::Request score;
+    score.op = serve::Op::kScore;
+    score.session = 7;
+    score.tokens = contexts[r];
+    scores.push_back(scheduler.submit(score));
+    serve::Request generate;
+    generate.op = serve::Op::kGenerate;
+    generate.session = 7;
+    generate.sampling = sampling;
+    generate.seed = 500 + r;
+    generates.push_back(scheduler.submit(generate));
+  }
+  EXPECT_EQ(scheduler.queued(), 2 * kEach);
+  ASSERT_EQ(blocker.get().status, serve::Reply::Status::kOk);
+
+  for (std::size_t r = 0; r < kEach; ++r) {
+    const serve::Reply score = scores[r].get();
+    ASSERT_EQ(score.status, serve::Reply::Status::kOk) << score.error;
+    EXPECT_EQ(score.score, expected_scores[r]);
+    const serve::Reply generated = generates[r].get();
+    ASSERT_EQ(generated.status, serve::Reply::Status::kOk) << generated.error;
+    EXPECT_EQ(generated.tokens, expected_samples[r]);
+  }
+  // Every reply came back, so every group call returned: no decoder is
+  // left holding a block.
+  EXPECT_GT(scheduler.kv_pool()->peak_blocks_in_use(), 0u);
+  EXPECT_EQ(scheduler.kv_pool()->blocks_in_use(), 0u);
+  // The worker ran the stalled tick and one more for all six requests.
+  for (int spin = 0; scheduler.ticks() < 2 && spin < 1000; ++spin)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(scheduler.ticks(), 2u);
+}
+
 TEST(Scheduler, KvPoolExhaustionRejectsTypedContextFull) {
   const tok::Vocabulary vocab = tiny_vocab();
   const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
@@ -595,8 +551,8 @@ TEST(Scheduler, KvPoolExhaustionRejectsTypedContextFull) {
   EXPECT_EQ(reply.reject, serve::RejectReason::kContextFull);
   EXPECT_GT(reply.retry_after_ms, 0u);
 
-  // The pool is not poisoned: a request that fits one block still serves,
-  // reclaiming the failed session's block on the way in.
+  // The pool is not poisoned: the failed request's decoder returned its
+  // block when its call unwound, so a request that fits one block serves.
   serve::Request small;
   small.op = serve::Op::kScore;
   small.session = 2;
@@ -604,6 +560,32 @@ TEST(Scheduler, KvPoolExhaustionRejectsTypedContextFull) {
   const serve::Reply ok = scheduler.submit(small).get();
   ASSERT_EQ(ok.status, serve::Reply::Status::kOk) << ok.error;
   EXPECT_EQ(ok.score, lm.score(small.tokens));
+  EXPECT_EQ(scheduler.kv_pool()->blocks_in_use(), 0u);
+}
+
+TEST(Scheduler, KvAllocFaultRejectsTypedContextFullThenServes) {
+  const tok::Vocabulary vocab = tiny_vocab();
+  const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
+  serve::Scheduler scheduler(lm, nullptr);
+
+  serve::Request request;
+  request.op = serve::Op::kScore;
+  request.session = 1;
+  request.tokens = session_tokens(vocab, 1, 5);
+  const double expected = lm.score(request.tokens);
+  // The first block allocation reports a dry pool: the hit request gets
+  // the typed reject, and the next one serves bitwise.
+  fault::reset();  // @1 counts from the last reset, not from this test
+  fault::Scope scope("model.kv.alloc=@1");
+  const serve::Reply hit = scheduler.submit(request).get();
+  ASSERT_EQ(hit.status, serve::Reply::Status::kRejected) << hit.error;
+  EXPECT_EQ(hit.reject, serve::RejectReason::kContextFull);
+  EXPECT_GT(hit.retry_after_ms, 0u);
+
+  const serve::Reply next = scheduler.submit(request).get();
+  ASSERT_EQ(next.status, serve::Reply::Status::kOk) << next.error;
+  EXPECT_EQ(next.score, expected);
+  EXPECT_EQ(scheduler.kv_pool()->blocks_in_use(), 0u);
 }
 
 TEST(Scheduler, BadRequestErrorsDoNotPoisonTickMates) {
@@ -641,9 +623,7 @@ TEST(Scheduler, BadRequestErrorsDoNotPoisonTickMates) {
 TEST(Scheduler, ConcurrentSubmittersDrainClean) {
   const tok::Vocabulary vocab = tiny_vocab();
   const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
-  serve::SchedulerOptions options;
-  options.session_capacity = 16;
-  serve::Scheduler scheduler(lm, nullptr, options);
+  serve::Scheduler scheduler(lm, nullptr);
 
   constexpr std::size_t kThreads = 4, kPerThread = 16;
   std::vector<std::thread> submitters;
