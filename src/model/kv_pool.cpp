@@ -1,7 +1,6 @@
 #include "model/kv_pool.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 
 #include "common/fault.h"
@@ -10,15 +9,6 @@
 namespace netfm::model {
 
 namespace {
-
-std::size_t env_size(const char* name, std::size_t fallback) noexcept {
-  if (const char* env = std::getenv(name)) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0') return static_cast<std::size_t>(v);
-  }
-  return fallback;
-}
 
 // Reserved KV bytes across every live pool in the process, mirrored into
 // the infer.kv_bytes gauge so memory is a tracked trajectory.
@@ -33,14 +23,6 @@ void publish_reserved_bytes(std::size_t delta, bool add) noexcept {
 }
 
 }  // namespace
-
-std::size_t default_kv_block_tokens() noexcept {
-  static const std::size_t value = [] {
-    const std::size_t v = env_size("NETFM_KV_BLOCK", 16);
-    return v == 0 ? std::size_t{16} : v;
-  }();
-  return value;
-}
 
 struct KvBlockPool::State {
   mutable std::mutex mutex;

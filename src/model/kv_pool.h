@@ -2,10 +2,15 @@
 // per-session block tables (vLLM-style), instead of a dense per-session
 // `layers x heads x max_seq_len x head_dim` reservation.
 //
-// A KvBlockPool owns, per layer, one K and one V buffer laid out as
-// [num_blocks][heads][block_tokens][head_dim] — so each (block, head) is a
-// contiguous run of `block_tokens` rows, exactly the row-major stride the
-// dispatched weighted_sum kernels consume. Blocks are handed out from a
+// A KvBlockPool owns, per layer, one K and one V buffer. Each (block, head)
+// is one contiguous run of block_tokens x head_dim floats, both laid out
+// for the dispatched weighted_sum kernel:
+//  - V as [num_blocks][heads][block_tokens][head_dim]: the run's rows are
+//    tokens, so attn · V over a block is weighted_sum(probs, V_run).
+//  - K transposed, as [num_blocks][heads][head_dim][block_tokens]: the
+//    run's rows are head dimensions, so the block's scores q · k_j are
+//    weighted_sum(q, K_run) — one SIMD lane per key, dk reduced serially.
+// Blocks are handed out from a
 // mutex-protected free list; a PagedKvCache records which blocks hold its
 // tokens, in token order. Many sessions share one pool, so resident KV
 // memory scales with *live decoded tokens* instead of with
@@ -43,8 +48,9 @@ class ContextFullError : public std::invalid_argument {
   bool pool_exhausted_;
 };
 
-/// Tokens per KV block: NETFM_KV_BLOCK, default 16. Read once.
-std::size_t default_kv_block_tokens() noexcept;
+/// Tokens per KV block of every encoder-made pool: one 16-float zmm of
+/// keys in the transposed K layout.
+inline constexpr std::size_t kKvBlockTokens = 16;
 
 /// ceil(tokens / block_tokens): blocks needed to hold `tokens` tokens.
 constexpr std::size_t kv_blocks_for(std::size_t tokens,
@@ -84,13 +90,15 @@ class KvBlockPool {
     return blocks_in_use() * bytes_per_block();
   }
 
-  /// Base of head h's contiguous [block_tokens, head_dim] key run inside
-  /// `block` of `layer`. Row `offset` of that run is the (block-local)
-  /// token at that offset.
+  /// Base of head h's contiguous [head_dim, block_tokens] (transposed) key
+  /// run inside `block` of `layer`: element (c, offset) is dimension c of
+  /// the block-local token at that offset.
   float* key_head(std::size_t layer, std::uint32_t block,
                   std::size_t head) noexcept {
     return keys_[layer].data() + run_base(block, head);
   }
+  /// Base of head h's contiguous [block_tokens, head_dim] value run: row
+  /// `offset` is the block-local token at that offset.
   float* value_head(std::size_t layer, std::uint32_t block,
                     std::size_t head) noexcept {
     return values_[layer].data() + run_base(block, head);

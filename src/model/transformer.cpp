@@ -163,13 +163,12 @@ Tensor EncoderBlock::forward_incremental_batch(
     std::size_t layer) const {
   // Row b of this step is bit-identical to the full forward's row for
   // session b's token. That rests on three facts:
-  //  - Linear/LayerNorm/GELU (and the int8 quant GEMM, which quantizes
-  //    activations per row) compute each row independently of how many
+  //  - Linear/LayerNorm/GELU compute each row independently of how many
   //    rows share the tensor, and the GEMM reduces K in a fixed serial
   //    order per output element regardless of blocking.
-  //  - The per-(b, h) attention loops below reduce over the same index
-  //    ranges in the same order as attention_probs and matmul(attn, v),
-  //    with the j-th K/V row looked up through the block table.
+  //  - The per-(b, h) attention below reduces over the same index ranges
+  //    in the same order as attention_probs and matmul(attn, v), with the
+  //    j-th key and value looked up through the block table.
   //  - In the full forward, attention_probs leaves causally hidden keys
   //    out of the max and the sum and writes them as exactly 0.0f, and a
   //    0.0f weight adds +0.0f to the context — so attending over only the
@@ -184,7 +183,10 @@ Tensor EncoderBlock::forward_incremental_batch(
   const Tensor k = key_.forward(x);
   const Tensor v = value_.forward(x);
 
-  // Append each session's K/V rows into its current block.
+  // Append each session's K column and V row into its current block. A
+  // block's K run is zeroed when its first token is written, so the
+  // full-width score over a partly filled block reads only defined values
+  // (slots past t are computed and never read).
   const float* kp = k.data().data();
   const float* vp = v.data().data();
   for (std::size_t b = 0; b < bsz; ++b) {
@@ -193,12 +195,14 @@ Tensor EncoderBlock::forward_incremental_batch(
     const std::size_t bt = pool.block_tokens();
     const std::size_t t = cache.length;
     const std::uint32_t blk = cache.blocks[t / bt];
-    const std::size_t off = (t % bt) * dk;
+    const std::size_t off = t % bt;
     for (std::size_t h = 0; h < heads; ++h) {
-      std::copy_n(kp + b * d_model + h * dk, dk,
-                  pool.key_head(layer, blk, h) + off);
+      float* krun = pool.key_head(layer, blk, h);
+      if (off == 0) std::fill_n(krun, dk * bt, 0.0f);
+      const float* krow = kp + b * d_model + h * dk;
+      for (std::size_t c = 0; c < dk; ++c) krun[c * bt + off] = krow[c];
       std::copy_n(vp + b * d_model + h * dk, dk,
-                  pool.value_head(layer, blk, h) + off);
+                  pool.value_head(layer, blk, h) + off * dk);
     }
   }
 
@@ -206,10 +210,12 @@ Tensor EncoderBlock::forward_incremental_batch(
   float* op = context.data().data();
   const float* qp = q.data().data();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
-  std::size_t max_t = 0;
-  for (const PagedKvCache* cache : caches)
-    max_t = std::max(max_t, cache->length);
-  std::span<float> s = nn::Workspace::current().scratch(max_t + 1);
+  std::size_t max_slots = 0;  // key slots in the widest block table
+  for (const PagedKvCache* cache : caches) {
+    const std::size_t bt = cache->pool->block_tokens();
+    max_slots = std::max(max_slots, kv_blocks_for(cache->length + 1, bt) * bt);
+  }
+  std::span<float> s = nn::Workspace::current().scratch(max_slots);
   const nn::kernels::KernelTable& kt = nn::kernels::table();
   std::vector<const float*> runs;
   for (std::size_t b = 0; b < bsz; ++b) {
@@ -220,16 +226,14 @@ Tensor EncoderBlock::forward_incremental_batch(
     const std::size_t n_runs = kv_blocks_for(t + 1, bt);
     for (std::size_t h = 0; h < heads; ++h) {
       const float* qh = qp + b * d_model + h * dk;
-      // Scaled scores over the cached prefix, walked through the block
-      // table (same reduction order and multiply-after-dot as
-      // attention_probs).
-      for (std::size_t j = 0; j <= t; ++j) {
-        float dot = 0.0f;
-        const float* krow =
-            pool.key_head(layer, cache.blocks[j / bt], h) + (j % bt) * dk;
-        for (std::size_t c = 0; c < dk; ++c) dot += qh[c] * krow[c];
-        s[j] = dot * scale;
-      }
+      // Scores block by block: over a transposed K run, weighted_sum
+      // gives s[j] = q · k_j with one lane per key and dk reduced serially
+      // from 0.0f, one multiply and one add per step — the per-output
+      // sequence of attention_probs' GEMM. Then scale, as it does.
+      for (std::size_t r = 0; r < n_runs; ++r)
+        kt.weighted_sum(qh, pool.key_head(layer, cache.blocks[r], h), dk, bt,
+                        s.data() + r * bt);
+      for (std::size_t j = 0; j <= t; ++j) s[j] *= scale;
       // Softmax over [0, t] — the same values, in the same order, as
       // attention_probs' row loop over the visible keys.
       float maxv = s[0];
@@ -325,7 +329,7 @@ Tensor TransformerEncoder::forward(const Batch& batch, bool train) const {
 }
 
 std::size_t TransformerEncoder::blocks_per_sequence() const noexcept {
-  return kv_blocks_for(config_.max_seq_len, default_kv_block_tokens());
+  return kv_blocks_for(config_.max_seq_len, kKvBlockTokens);
 }
 
 std::shared_ptr<KvBlockPool> TransformerEncoder::make_block_pool(
@@ -333,7 +337,7 @@ std::shared_ptr<KvBlockPool> TransformerEncoder::make_block_pool(
   if (num_blocks == 0) num_blocks = blocks_per_sequence();
   return std::make_shared<KvBlockPool>(config_.num_layers, config_.num_heads,
                                        config_.head_dim(),
-                                       default_kv_block_tokens(), num_blocks);
+                                       kKvBlockTokens, num_blocks);
 }
 
 PagedKvCache TransformerEncoder::make_paged_cache(

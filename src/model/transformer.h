@@ -137,11 +137,10 @@ class TransformerEncoder {
   nn::Tensor forward(const Batch& batch, bool train = false) const;
 
   /// A shared paged KV block pool sized for this encoder. `num_blocks` 0
-  /// means exactly one full sequence (ceil(max_seq_len / block_tokens));
-  /// block size comes from NETFM_KV_BLOCK (default 16 tokens).
+  /// means exactly one full sequence (ceil(max_seq_len / kKvBlockTokens)).
   std::shared_ptr<KvBlockPool> make_block_pool(std::size_t num_blocks = 0) const;
 
-  /// Blocks one max_seq_len sequence needs under the configured block size.
+  /// Blocks one max_seq_len sequence needs (kKvBlockTokens per block).
   std::size_t blocks_per_sequence() const noexcept;
 
   /// An empty paged cache drawing from `pool` (geometry must match this

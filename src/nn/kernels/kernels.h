@@ -56,8 +56,9 @@ struct KernelTable {
 
   /// out[c] = sum over j in [0, t) of w[j] * rows[j * dk + c], with j
   /// reduced serially in ascending order per output element (the batched
-  /// matmul's K order). The attention context accumulation of the
-  /// incremental-decode path.
+  /// matmul's K order). Both halves of incremental-decode attention: the
+  /// scores q · k (w = q, rows = a transposed K block, one output per key)
+  /// and the context attn · V (w = probabilities, rows = a V block).
   void (*weighted_sum)(const float* w, const float* rows, std::size_t t,
                        std::size_t dk, float* out);
 

@@ -12,54 +12,79 @@
 namespace netfm::nn::kernels {
 namespace {
 
-void gemm_rows_avx2(MatRef a, const float* packed_b, std::size_t K,
-                    std::size_t N, float* c, std::size_t row_lo,
-                    std::size_t row_hi, bool accumulate) {
-  for (std::size_t i = row_lo; i < row_hi; i += kMR) {
-    const std::size_t mr = std::min(kMR, row_hi - i);
-    for (std::size_t jp = 0; jp < N; jp += kNR) {
-      const std::size_t nr = std::min(kNR, N - jp);
-      const float* bp = packed_b + jp * K;
-      __m256 acc0[kMR], acc1[kMR];
-      for (std::size_t r = 0; r < mr; ++r) {
-        acc0[r] = _mm256_setzero_ps();
-        acc1[r] = _mm256_setzero_ps();
+// Rows [i, i + MR) of C across every kNR panel. MR is a compile-time
+// constant so the 2·MR accumulators stay in ymm registers for the whole
+// K loop; with a runtime row count GCC keeps them in stack arrays and
+// every k step pays a store-to-load round-trip per accumulator.
+template <std::size_t MR>
+void gemm_tile_rows_avx2(MatRef a, const float* packed_b, std::size_t K,
+                         std::size_t N, float* c, std::size_t i,
+                         bool accumulate) {
+  for (std::size_t jp = 0; jp < N; jp += kNR) {
+    const std::size_t nr = std::min(kNR, N - jp);
+    const float* bp = packed_b + jp * K;
+    __m256 acc0[MR], acc1[MR];
+    #pragma GCC unroll 4
+    for (std::size_t r = 0; r < MR; ++r) {
+      acc0[r] = _mm256_setzero_ps();
+      acc1[r] = _mm256_setzero_ps();
+    }
+    for (std::size_t kk = 0; kk < K; ++kk) {
+      const float* brow = bp + kk * kNR;
+      const __m256 b0 = _mm256_loadu_ps(brow);
+      const __m256 b1 = _mm256_loadu_ps(brow + 8);
+      #pragma GCC unroll 4
+      for (std::size_t r = 0; r < MR; ++r) {
+        const __m256 av = _mm256_set1_ps(a.p[(i + r) * a.rs + kk * a.cs]);
+        acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(av, b0));
+        acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(av, b1));
       }
-      for (std::size_t kk = 0; kk < K; ++kk) {
-        const float* brow = bp + kk * kNR;
-        const __m256 b0 = _mm256_loadu_ps(brow);
-        const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        for (std::size_t r = 0; r < mr; ++r) {
-          const __m256 av =
-              _mm256_set1_ps(a.p[(i + r) * a.rs + kk * a.cs]);
-          acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(av, b0));
-          acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(av, b1));
-        }
-      }
-      for (std::size_t r = 0; r < mr; ++r) {
-        float* crow = c + (i + r) * N + jp;
-        if (nr == kNR) {
-          if (accumulate) {
-            _mm256_storeu_ps(crow,
-                             _mm256_add_ps(_mm256_loadu_ps(crow), acc0[r]));
-            _mm256_storeu_ps(
-                crow + 8, _mm256_add_ps(_mm256_loadu_ps(crow + 8), acc1[r]));
-          } else {
-            _mm256_storeu_ps(crow, acc0[r]);
-            _mm256_storeu_ps(crow + 8, acc1[r]);
-          }
+    }
+    #pragma GCC unroll 4
+    for (std::size_t r = 0; r < MR; ++r) {
+      float* crow = c + (i + r) * N + jp;
+      if (nr == kNR) {
+        if (accumulate) {
+          _mm256_storeu_ps(crow,
+                           _mm256_add_ps(_mm256_loadu_ps(crow), acc0[r]));
+          _mm256_storeu_ps(
+              crow + 8, _mm256_add_ps(_mm256_loadu_ps(crow + 8), acc1[r]));
         } else {
-          alignas(32) float tmp[kNR];
-          _mm256_store_ps(tmp, acc0[r]);
-          _mm256_store_ps(tmp + 8, acc1[r]);
-          if (accumulate) {
-            for (std::size_t cc = 0; cc < nr; ++cc) crow[cc] += tmp[cc];
-          } else {
-            for (std::size_t cc = 0; cc < nr; ++cc) crow[cc] = tmp[cc];
-          }
+          _mm256_storeu_ps(crow, acc0[r]);
+          _mm256_storeu_ps(crow + 8, acc1[r]);
+        }
+      } else {
+        alignas(32) float tmp[kNR];
+        _mm256_store_ps(tmp, acc0[r]);
+        _mm256_store_ps(tmp + 8, acc1[r]);
+        if (accumulate) {
+          for (std::size_t cc = 0; cc < nr; ++cc) crow[cc] += tmp[cc];
+        } else {
+          for (std::size_t cc = 0; cc < nr; ++cc) crow[cc] = tmp[cc];
         }
       }
     }
+  }
+}
+
+void gemm_rows_avx2(MatRef a, const float* packed_b, std::size_t K,
+                    std::size_t N, float* c, std::size_t row_lo,
+                    std::size_t row_hi, bool accumulate) {
+  static_assert(kMR == 4, "the remainder switch covers 1..kMR-1 rows");
+  std::size_t i = row_lo;
+  for (; i + kMR <= row_hi; i += kMR)
+    gemm_tile_rows_avx2<kMR>(a, packed_b, K, N, c, i, accumulate);
+  switch (row_hi - i) {
+    case 3:
+      gemm_tile_rows_avx2<3>(a, packed_b, K, N, c, i, accumulate);
+      break;
+    case 2:
+      gemm_tile_rows_avx2<2>(a, packed_b, K, N, c, i, accumulate);
+      break;
+    case 1:
+      gemm_tile_rows_avx2<1>(a, packed_b, K, N, c, i, accumulate);
+      break;
+    default: break;
   }
 }
 

@@ -10,44 +10,67 @@
 namespace netfm::nn::kernels {
 namespace {
 
+// Rows [i, i + MR) of C across every kNR panel. MR is a compile-time
+// constant so the MR accumulators stay in zmm registers for the whole K
+// loop; with a runtime row count GCC keeps them in a stack array and
+// every k step pays a store-to-load round-trip per accumulator.
+template <std::size_t MR>
+void gemm_tile_rows_avx512(MatRef a, const float* packed_b, std::size_t K,
+                           std::size_t N, float* c, std::size_t i,
+                           bool accumulate) {
+  for (std::size_t jp = 0; jp < N; jp += kNR) {
+    const std::size_t nr = std::min(kNR, N - jp);
+    const float* bp = packed_b + jp * K;
+    __m512 acc[MR];
+    #pragma GCC unroll 4
+    for (std::size_t r = 0; r < MR; ++r) acc[r] = _mm512_setzero_ps();
+    for (std::size_t kk = 0; kk < K; ++kk) {
+      const __m512 b0 = _mm512_loadu_ps(bp + kk * kNR);
+      #pragma GCC unroll 4
+      for (std::size_t r = 0; r < MR; ++r) {
+        const __m512 av = _mm512_set1_ps(a.p[(i + r) * a.rs + kk * a.cs]);
+        acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(av, b0));
+      }
+    }
+    #pragma GCC unroll 4
+    for (std::size_t r = 0; r < MR; ++r) {
+      float* crow = c + (i + r) * N + jp;
+      if (nr == kNR) {
+        if (accumulate)
+          _mm512_storeu_ps(crow, _mm512_add_ps(_mm512_loadu_ps(crow), acc[r]));
+        else
+          _mm512_storeu_ps(crow, acc[r]);
+      } else {
+        const __mmask16 edge = static_cast<__mmask16>((1u << nr) - 1u);
+        if (accumulate)
+          _mm512_mask_storeu_ps(
+              crow, edge,
+              _mm512_add_ps(_mm512_maskz_loadu_ps(edge, crow), acc[r]));
+        else
+          _mm512_mask_storeu_ps(crow, edge, acc[r]);
+      }
+    }
+  }
+}
+
 void gemm_rows_avx512(MatRef a, const float* packed_b, std::size_t K,
                       std::size_t N, float* c, std::size_t row_lo,
                       std::size_t row_hi, bool accumulate) {
-  for (std::size_t i = row_lo; i < row_hi; i += kMR) {
-    const std::size_t mr = std::min(kMR, row_hi - i);
-    for (std::size_t jp = 0; jp < N; jp += kNR) {
-      const std::size_t nr = std::min(kNR, N - jp);
-      const float* bp = packed_b + jp * K;
-      __m512 acc[kMR];
-      for (std::size_t r = 0; r < mr; ++r) acc[r] = _mm512_setzero_ps();
-      for (std::size_t kk = 0; kk < K; ++kk) {
-        const __m512 b0 = _mm512_loadu_ps(bp + kk * kNR);
-        for (std::size_t r = 0; r < mr; ++r) {
-          const __m512 av =
-              _mm512_set1_ps(a.p[(i + r) * a.rs + kk * a.cs]);
-          acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(av, b0));
-        }
-      }
-      for (std::size_t r = 0; r < mr; ++r) {
-        float* crow = c + (i + r) * N + jp;
-        if (nr == kNR) {
-          if (accumulate)
-            _mm512_storeu_ps(crow,
-                             _mm512_add_ps(_mm512_loadu_ps(crow), acc[r]));
-          else
-            _mm512_storeu_ps(crow, acc[r]);
-        } else {
-          const __mmask16 edge =
-              static_cast<__mmask16>((1u << nr) - 1u);
-          if (accumulate)
-            _mm512_mask_storeu_ps(
-                crow, edge,
-                _mm512_add_ps(_mm512_maskz_loadu_ps(edge, crow), acc[r]));
-          else
-            _mm512_mask_storeu_ps(crow, edge, acc[r]);
-        }
-      }
-    }
+  static_assert(kMR == 4, "the remainder switch covers 1..kMR-1 rows");
+  std::size_t i = row_lo;
+  for (; i + kMR <= row_hi; i += kMR)
+    gemm_tile_rows_avx512<kMR>(a, packed_b, K, N, c, i, accumulate);
+  switch (row_hi - i) {
+    case 3:
+      gemm_tile_rows_avx512<3>(a, packed_b, K, N, c, i, accumulate);
+      break;
+    case 2:
+      gemm_tile_rows_avx512<2>(a, packed_b, K, N, c, i, accumulate);
+      break;
+    case 1:
+      gemm_tile_rows_avx512<1>(a, packed_b, K, N, c, i, accumulate);
+      break;
+    default: break;
   }
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -107,11 +108,13 @@ TEST(KernelDispatch, SetBackendSwitchesAndRejectsUnsupported) {
 TEST(KernelGemm, BitwiseAcrossBackendsAndShapes) {
   BackendGuard guard;
   Rng rng(101);
-  // Edge-stressing shapes: M not a multiple of the 4-row micro-tile, N not
-  // a multiple of the 16-wide panel, tiny K, rectangular everything.
+  // Edge-stressing shapes ({M, N, K}): M not a multiple of the 4-row
+  // micro-tile, N not a multiple of the 16-wide panel, tiny K, rectangular
+  // everything. M = 5, 6, 7 put 1, 2 and 3 remainder rows after a full
+  // register tile.
   const std::size_t shapes[][3] = {
-      {1, 1, 1},   {3, 5, 7},    {4, 16, 32},  {5, 17, 8},
-      {64, 48, 5}, {33, 65, 19}, {16, 100, 64}};
+      {1, 1, 1},    {3, 5, 7},     {4, 16, 32}, {5, 17, 8},  {6, 33, 64},
+      {7, 33, 64},  {64, 48, 5},   {33, 65, 19}, {16, 100, 64}};
   for (const auto& s : shapes) {
     const Tensor a = Tensor::randn({s[0], s[2]}, rng, 1.0f, false);
     const Tensor b = Tensor::randn({s[2], s[1]}, rng, 1.0f, false);
@@ -153,28 +156,37 @@ TEST(KernelGemm, TransposedAndBatchedBitwiseAcrossBackends) {
 
 TEST(KernelGemm, BackwardBitwiseAcrossBackends) {
   BackendGuard guard;
-  Rng rng(303);
-  const auto run = [&]() {
-    Rng local(77);
-    Tensor a = Tensor::randn({9, 14}, local, 1.0f, true);
-    Tensor b = Tensor::randn({14, 21}, local, 1.0f, true);
-    Tensor loss = nn::mean(nn::matmul(a, b));
-    loss.backward();
-    std::vector<float> grads(a.grad().begin(), a.grad().end());
-    grads.insert(grads.end(), b.grad().begin(), b.grad().end());
-    return grads;
-  };
-  kernels::set_backend(kernels::Backend::kScalar);
-  const std::vector<float> want = run();
-  for (kernels::Backend backend : kernels::available()) {
-    kernels::set_backend(backend);
-    with_thread_counts([&] {
-      const std::vector<float> got = run();
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < got.size(); ++i)
-        ASSERT_EQ(got[i], want[i])
-            << kernels::backend_name(backend) << " grad " << i;
-    });
+  // {M, K, N} of the forward a[M, K] · b[K, N]. Both backward products
+  // accumulate: dA = dC · bᵀ has M rows, and dB = aᵀ · dC reads a through
+  // a transposed (strided) view and has K rows. M or K = 5, 6, 7 put 1, 2
+  // and 3 remainder rows after a full register tile on each route.
+  const std::size_t shapes[][3] = {
+      {9, 14, 21}, {6, 64, 33}, {7, 64, 33}, {64, 5, 33}, {64, 6, 33},
+      {64, 7, 33}};
+  for (const auto& s : shapes) {
+    const auto run = [&]() {
+      Rng local(77);
+      Tensor a = Tensor::randn({s[0], s[1]}, local, 1.0f, true);
+      Tensor b = Tensor::randn({s[1], s[2]}, local, 1.0f, true);
+      Tensor loss = nn::mean(nn::matmul(a, b));
+      loss.backward();
+      std::vector<float> grads(a.grad().begin(), a.grad().end());
+      grads.insert(grads.end(), b.grad().begin(), b.grad().end());
+      return grads;
+    };
+    kernels::set_backend(kernels::Backend::kScalar);
+    const std::vector<float> want = run();
+    for (kernels::Backend backend : kernels::available()) {
+      kernels::set_backend(backend);
+      with_thread_counts([&] {
+        const std::vector<float> got = run();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+          ASSERT_EQ(got[i], want[i])
+              << kernels::backend_name(backend) << " M=" << s[0]
+              << " K=" << s[1] << " grad " << i;
+      });
+    }
   }
 }
 
@@ -222,6 +234,96 @@ TEST(KernelAttention, IncrementalDecodeBitwiseAcrossBackends) {
       std::vector<float> logits;
       for (int id : ids) logits = decoder.advance(id);
       EXPECT_EQ(logits, want);
+    });
+  }
+}
+
+/// A 43-token id sequence over `vocab`: with 16-token KV blocks it
+/// crosses two block boundaries and ends 11 tokens into a third block.
+std::vector<int> long_ids(std::size_t vocab, int stride) {
+  std::vector<int> ids(43);
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    ids[i] = static_cast<int>((i * static_cast<std::size_t>(stride) + 3) %
+                              vocab);
+  return ids;
+}
+
+/// Scalar full-forward next_logits of every prefix of `ids`.
+std::vector<std::vector<float>> prefix_logits(const core::TrafficLM& lm,
+                                              const std::vector<int>& ids) {
+  kernels::set_backend(kernels::Backend::kScalar);
+  std::vector<std::vector<float>> want;
+  for (std::size_t t = 1; t <= ids.size(); ++t)
+    want.push_back(
+        lm.next_logits(std::span<const int>(ids.data(), t)));
+  return want;
+}
+
+void expect_decode_matches(core::LmDecoder& decoder,
+                           const std::vector<int>& ids,
+                           const std::vector<std::vector<float>>& want,
+                           const char* what) {
+  for (std::size_t t = 0; t < ids.size(); ++t)
+    ASSERT_EQ(decoder.advance(ids[t]), want[t])
+        << what << " on " << kernels::active_name() << " at step " << t;
+}
+
+TEST(KernelAttention, IncrementalDecodeAcrossKvBlocksBitwise) {
+  BackendGuard guard;
+  const tok::Vocabulary vocab = tiny_vocab();
+  auto config = tiny_config(vocab.size());
+  config.max_seq_len = 48;
+  core::TrafficLM lm(vocab, config);
+  const std::vector<int> ids = long_ids(vocab.size(), 5);
+  ASSERT_GT(ids.size(), 2 * model::kKvBlockTokens);
+  ASSERT_NE(ids.size() % model::kKvBlockTokens, 0u);
+
+  const std::vector<std::vector<float>> want = prefix_logits(lm, ids);
+  for (kernels::Backend backend : kernels::available()) {
+    kernels::set_backend(backend);
+    with_thread_counts([&] {
+      core::LmDecoder decoder(lm);
+      expect_decode_matches(decoder, ids, want, "fresh pool");
+    });
+  }
+}
+
+TEST(KernelAttention, IncrementalDecodeOnDirtyKvBlocksBitwise) {
+  BackendGuard guard;
+  const tok::Vocabulary vocab = tiny_vocab();
+  auto config = tiny_config(vocab.size());
+  config.max_seq_len = 48;
+  core::TrafficLM lm(vocab, config);
+  const std::vector<int> ids = long_ids(vocab.size(), 5);
+  const std::vector<int> other = long_ids(vocab.size(), 3);
+  const std::vector<std::vector<float>> want = prefix_logits(lm, ids);
+
+  for (kernels::Backend backend : kernels::available()) {
+    kernels::set_backend(backend);
+    with_thread_counts([&] {
+      // A pool holding one sequence: the second decoder can only run on
+      // the blocks the first one filled, so every key and value slot past
+      // its current token holds another sequence's data.
+      const auto pool = lm.make_kv_pool(lm.kv_blocks_per_sequence());
+      {
+        core::LmDecoder dirty(lm, pool);
+        for (int id : other) dirty.advance(id);
+      }
+      core::LmDecoder decoder(lm, pool);
+      expect_decode_matches(decoder, ids, want, "reused blocks");
+
+      // Now poison every K and V slot the decoder holds with NaN and
+      // replay: a slot past the current token that reached a score, a
+      // softmax or the context would turn the logits into NaN.
+      const std::size_t run = pool->block_tokens() * pool->head_dim();
+      for (std::size_t l = 0; l < pool->layers(); ++l)
+        for (std::uint32_t b = 0; b < pool->capacity_blocks(); ++b)
+          for (std::size_t h = 0; h < pool->heads(); ++h) {
+            std::fill_n(pool->key_head(l, b, h), run, std::nanf(""));
+            std::fill_n(pool->value_head(l, b, h), run, std::nanf(""));
+          }
+      decoder.reset();
+      expect_decode_matches(decoder, ids, want, "NaN-poisoned blocks");
     });
   }
 }

@@ -534,7 +534,7 @@ TEST(Scheduler, KvPoolExhaustionRejectsTypedContextFull) {
   const tok::Vocabulary vocab = tiny_vocab();
   const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
 
-  // One KV block (16 tokens with the default NETFM_KV_BLOCK) for the whole
+  // One KV block (model::kKvBlockTokens = 16 tokens) for the whole
   // scheduler: a score whose frame exceeds one block exhausts the pool
   // mid-decode and must come back as a typed context_full reject, not an
   // untyped error.
