@@ -1,5 +1,6 @@
 // M4 — neural-engine microbenchmarks: matmul kernels (blocked/parallel vs
-// the naive reference, and thread-count scaling), transformer forward and
+// the naive reference, and thread-count scaling), attention probabilities
+// and dropout at the pretraining shape, transformer forward and
 // forward+backward (tiny and NorBERT-ish configs), GRU step throughput.
 #include <benchmark/benchmark.h>
 
@@ -125,6 +126,40 @@ void BM_MatmulBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatmulBackward)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
+
+// attention_probs forward + backward at the pretrain_stream shape: batch
+// 16 x 4 heads = 64 lanes of 64 keys, dk = 16, bidirectional, each
+// sequence with its own padded tail (0-23 padding keys).
+void BM_AttentionProbs(benchmark::State& state) {
+  const std::size_t batch = 16, heads = 4, t = 64, dk = 16, bh = batch * heads;
+  Rng rng(8);
+  nn::Tensor q = nn::Tensor::randn({bh, t, dk}, rng, 1.0f, true);
+  nn::Tensor k = nn::Tensor::randn({bh, t, dk}, rng, 1.0f, true);
+  const nn::Tensor w = nn::Tensor::randn({bh, t, t}, rng, 1.0f, false);
+  auto key_valid = std::make_shared<std::vector<float>>(batch * t, 1.0f);
+  for (std::size_t s = 0; s < batch; ++s)
+    for (std::size_t j = t - (s * 7) % 24; j < t; ++j)
+      (*key_valid)[s * t + j] = 0.0f;
+  const nn::KeyMask mask{key_valid, heads, /*causal=*/false};
+  for (auto _ : state) {
+    nn::Tensor probs = nn::attention_probs(q, k, mask, 0.25f);
+    nn::sum(nn::mul(probs, w)).backward();
+    benchmark::DoNotOptimize(q.grad().data());
+  }
+}
+BENCHMARK(BM_AttentionProbs);
+
+// Training-mode dropout at p = 0.1 over 262144 elements: the serial mask
+// draw plus the scaled copy.
+void BM_Dropout(benchmark::State& state) {
+  Rng rng(9);
+  const nn::Tensor a = nn::Tensor::randn({262144}, rng, 1.0f, false);
+  for (auto _ : state) {
+    nn::Tensor out = nn::dropout(a, 0.1f, /*train=*/true, rng);
+    benchmark::DoNotOptimize(out.data().data());
+  }
+}
+BENCHMARK(BM_Dropout);
 
 model::Batch random_batch(std::size_t batch, std::size_t seq,
                           std::size_t vocab, std::uint64_t seed) {

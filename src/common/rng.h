@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -30,8 +31,18 @@ class Rng {
     return std::numeric_limits<std::uint64_t>::max();
   }
 
-  /// Next raw 64-bit value.
-  std::uint64_t next() noexcept;
+  /// Next raw 64-bit value. Inline: dropout draws one per element.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). `bound` must be > 0. Unbiased
   /// (Lemire's multiply-shift with rejection).

@@ -125,6 +125,22 @@ void gemm(std::size_t M, std::size_t N, std::size_t K, MatRef a, MatRef b,
   gemm_packed(M, N, K, a, scratch.data(), c, Accumulate, allow_parallel);
 }
 
+/// row[j] = row[j] + bias[j]. Written four lanes at a time on
+/// non-aliasing pointers so -O2's cheap vectorizer emits packed adds (a
+/// plain loop of unknown length stays scalar there); one add per element
+/// either way, so the bits are the same.
+void add_bias_row(float* __restrict row, const float* __restrict bias,
+                  std::size_t n) {
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    row[j] = row[j] + bias[j];
+    row[j + 1] = row[j + 1] + bias[j + 1];
+    row[j + 2] = row[j + 2] + bias[j + 2];
+    row[j + 3] = row[j + 3] + bias[j + 3];
+  }
+  for (; j < n; ++j) row[j] = row[j] + bias[j];
+}
+
 /// Interprets a tensor as a batch of matrices: rank 2 = batch 1.
 struct MatView {
   std::size_t batch, rows, cols;
@@ -175,10 +191,7 @@ void gemm_packed(std::size_t M, std::size_t N, std::size_t K, MatRef a,
   const auto run = [=](std::size_t lo, std::size_t hi) {
     gemm_rows(a, packed, K, N, c, lo, hi, accumulate);
     if (bias == nullptr) return;
-    for (std::size_t i = lo; i < hi; ++i) {
-      float* row = c + i * N;
-      for (std::size_t j = 0; j < N; ++j) row[j] = row[j] + bias[j];
-    }
+    for (std::size_t i = lo; i < hi; ++i) add_bias_row(c + i * N, bias, N);
   };
   if (!allow_parallel || M * N * K < kGemmParallelCutoff) {
     run(0, M);
@@ -692,11 +705,11 @@ Tensor attention_probs(const Tensor& q, const Tensor& k, const KeyMask& mask,
   const float* kv = mask.key_valid->data();
   const bool causal = mask.causal;
   float* op = node->value.data();
-  // Key j is visible to query row r (lane r / t, position r % t) iff its
-  // sequence marks it real and, when causal, it is not after the query.
-  const auto visible = [=](std::size_t r, std::size_t j) {
-    return (!causal || j <= r % t) && kv[r / t / heads * t + j] != 0.0f;
-  };
+  // Key j is visible to query row r (lane r / t, position r % t) iff it
+  // lies in the row's span [0, end) — every key, or when causal the keys
+  // up to the query — and the row's sequence flags it real.
+  const auto row_flags = [=](std::size_t r) { return kv + r / t / heads * t; };
+  const auto span_end = [=](std::size_t r) { return causal ? r % t + 1 : t; };
   // Same lane fan-out and per-lane GEMM as the batched matmul.
   const std::size_t lane_grain =
       bh * t * t * dk >= kGemmParallelCutoff ? 1 : bh;
@@ -713,10 +726,12 @@ Tensor attention_probs(const Tensor& q, const Tensor& k, const KeyMask& mask,
   parallel_rows(bh * t, t, [=](std::size_t lo, std::size_t hi) {
     for (std::size_t r = lo; r < hi; ++r) {
       float* out = op + r * t;
+      const float* flags = row_flags(r);
+      const std::size_t end = span_end(r);
       float maxv = -std::numeric_limits<float>::infinity();
       bool any_visible = false;
-      for (std::size_t j = 0; j < t; ++j) {
-        if (!visible(r, j)) continue;
+      for (std::size_t j = 0; j < end; ++j) {
+        if (flags[j] == 0.0f) continue;
         out[j] *= scale;
         maxv = std::max(maxv, out[j]);
         any_visible = true;
@@ -726,15 +741,16 @@ Tensor attention_probs(const Tensor& q, const Tensor& k, const KeyMask& mask,
         continue;
       }
       float total = 0.0f;
-      for (std::size_t j = 0; j < t; ++j) {
-        out[j] = visible(r, j) ? std::exp(out[j] - maxv) : 0.0f;
+      for (std::size_t j = 0; j < end; ++j) {
+        out[j] = flags[j] != 0.0f ? std::exp(out[j] - maxv) : 0.0f;
         total += out[j];
       }
-      for (std::size_t j = 0; j < t; ++j) out[j] /= total;
+      for (std::size_t j = 0; j < end; ++j) out[j] /= total;
+      std::fill(out + end, out + t, 0.0f);
     }
   });
 
-  // `owner` keeps the flags behind `visible`'s raw pointer alive.
+  // `owner` keeps the flags behind `row_flags`' raw pointer alive.
   set_backward(node, [=, owner = mask.key_valid](TensorNode& self) {
     TensorNode& Q = *self.parents[0];
     TensorNode& K = *self.parents[1];
@@ -750,11 +766,15 @@ Tensor attention_probs(const Tensor& q, const Tensor& k, const KeyMask& mask,
         const float* y = yp + r * t;
         const float* g = gp + r * t;
         float* d = dsp + r * t;
+        const float* flags = row_flags(r);
+        const std::size_t end = span_end(r);
         float dot = 0.0f;
-        for (std::size_t j = 0; j < t; ++j)
-          if (visible(r, j)) dot += y[j] * g[j];
-        for (std::size_t j = 0; j < t; ++j)
-          d[j] = visible(r, j) ? (0.0f + y[j] * (g[j] - dot)) * scale : 0.0f;
+        for (std::size_t j = 0; j < end; ++j)
+          if (flags[j] != 0.0f) dot += y[j] * g[j];
+        for (std::size_t j = 0; j < end; ++j)
+          d[j] = flags[j] != 0.0f ? (0.0f + y[j] * (g[j] - dot)) * scale
+                                  : 0.0f;
+        std::fill(d + end, d + t, 0.0f);
       }
     });
     const float* qv = Q.value.data();
@@ -953,8 +973,17 @@ Tensor dropout(const Tensor& a, float p, bool train, Rng& rng) {
   auto mask = std::make_shared<std::vector<float>>(n);
   const float keep_scale = 1.0f / (1.0f - p);
   // Mask draw stays serial: the rng stream must not depend on threading.
-  for (std::size_t i = 0; i < n; ++i)
-    (*mask)[i] = rng.chance(p) ? 0.0f : keep_scale;
+  // It is Rng::chance(p) on the raw draw: uniform01() is (next() >> 11) ·
+  // 2^-53 exactly, so uniform01() < p iff (next() >> 11) < ceil(p · 2^53).
+  // The mask starts zeroed, so, like chance, p >= 1 drops everything
+  // without drawing.
+  if (p < 1.0f) {
+    const auto threshold = static_cast<std::uint64_t>(
+        std::ceil(static_cast<double>(p) * 0x1.0p53));
+    float* m = mask->data();
+    for (std::size_t i = 0; i < n; ++i)
+      m[i] = (rng.next() >> 11) < threshold ? 0.0f : keep_scale;
+  }
   auto node = make_node(a.shape(), {a.node()}, Init::kUninit);
   const float* ap = a.data().data();
   const float* mp = mask->data();

@@ -114,20 +114,20 @@ TEST(InferenceGuard, ForwardBitwiseEqualsGradRoute) {
   });
 }
 
-TEST(AttentionProbs, BitwiseEqualsComposedOps) {
-  // Oracle: the composed route matmul(q, k^T) -> scale -> hidden scores
-  // set to -1e9 (mul by 1/0, add 0/-1e9) -> full-row softmax. Sequence 0
-  // sees every key, sequence 1 has a ragged padded tail, and sequence 2 is
-  // all padding (its rows must come out uniform).
-  const std::size_t bsz = 3, heads = 4, t = 16, dk = 16, bh = bsz * heads;
+/// Checks attention_probs, its backward and its no-grad route bitwise
+/// against the composed route matmul(q, k^T) -> scale -> hidden scores set
+/// to -1e9 (mul by 1/0, add 0/-1e9) -> full-row softmax, causal and
+/// bidirectional, at every thread count. `key_valid` holds t flags per
+/// sequence; a row that sees no key must come out uniform.
+void expect_attention_probs_match_composed(
+    std::shared_ptr<const std::vector<float>> key_valid, std::size_t heads,
+    std::size_t t, std::size_t dk, std::uint64_t seed) {
+  const std::size_t bh = key_valid->size() / t * heads;
   const float kScale = 0.25f;
-  Rng rng(31);
+  Rng rng(seed);
   const Tensor q = Tensor::randn({bh, t, dk}, rng, 1.0f, false);
   const Tensor k = Tensor::randn({bh, t, dk}, rng, 1.0f, false);
   const Tensor weights = Tensor::randn({bh, t, t}, rng, 1.0f, false);
-  auto key_valid = std::make_shared<std::vector<float>>(bsz * t, 1.0f);
-  for (std::size_t j = 11; j < t; ++j) (*key_valid)[t + j] = 0.0f;
-  for (std::size_t j = 0; j < t; ++j) (*key_valid)[2 * t + j] = 0.0f;
 
   const auto leaf = [](const Tensor& src) {
     const std::vector<float> values(src.data().begin(), src.data().end());
@@ -144,14 +144,19 @@ TEST(AttentionProbs, BitwiseEqualsComposedOps) {
   for (const bool causal : {false, true}) {
     SCOPED_TRACE(causal ? "causal" : "bidirectional");
     std::vector<float> keep(bh * t * t), fill(bh * t * t);
+    std::vector<std::size_t> blind_rows;
     for (std::size_t lane = 0; lane < bh; ++lane)
-      for (std::size_t i = 0; i < t; ++i)
+      for (std::size_t i = 0; i < t; ++i) {
+        bool any = false;
         for (std::size_t j = 0; j < t; ++j) {
           const bool visible = (!causal || j <= i) &&
                                (*key_valid)[lane / heads * t + j] != 0.0f;
           keep[(lane * t + i) * t + j] = visible ? 1.0f : 0.0f;
           fill[(lane * t + i) * t + j] = visible ? 0.0f : -1e9f;
+          any = any || visible;
         }
+        if (!any) blind_rows.push_back(lane * t + i);
+      }
     const Tensor keep_t({bh, t, t}, keep), fill_t({bh, t, t}, fill);
     Tensor oq = leaf(q), ok = leaf(k);
     const Tensor oracle = nn::softmax(nn::add(
@@ -167,14 +172,44 @@ TEST(AttentionProbs, BitwiseEqualsComposedOps) {
       nn::sum(nn::mul(probs, weights)).backward();
       expect_bitwise(fq.grad(), oq.grad(), "q.grad");
       expect_bitwise(fk.grad(), ok.grad(), "k.grad");
-      for (std::size_t i = 2 * heads * t * t; i < probs.size(); ++i)
-        ASSERT_EQ(probs.data()[i], 1.0f / static_cast<float>(t));
+      for (const std::size_t r : blind_rows)
+        for (std::size_t j = 0; j < t; ++j)
+          ASSERT_EQ(probs.data()[r * t + j], 1.0f / static_cast<float>(t))
+              << "row " << r;
 
       nn::InferenceGuard guard;
       const Tensor fast = nn::attention_probs(q, k, mask, kScale);
       EXPECT_FALSE(fast.requires_grad());
       expect_bitwise(fast.data(), oracle.data(), "no-grad probs");
     });
+  }
+}
+
+TEST(AttentionProbs, BitwiseEqualsComposedOps) {
+  // Four sequences of 16 keys, 4 heads: one sees every key, one has a
+  // ragged padded tail, one is all padding (its rows must come out
+  // uniform), and one is left-padded, so its first causal rows see no key
+  // and the later ones some.
+  {
+    SCOPED_TRACE("t=16 heads=4");
+    const std::size_t t = 16;
+    auto key_valid = std::make_shared<std::vector<float>>(4 * t, 1.0f);
+    for (std::size_t j = 11; j < t; ++j) (*key_valid)[t + j] = 0.0f;
+    for (std::size_t j = 0; j < t; ++j) (*key_valid)[2 * t + j] = 0.0f;
+    for (std::size_t j = 0; j < 5; ++j) (*key_valid)[3 * t + j] = 0.0f;
+    expect_attention_probs_match_composed(key_valid, 4, t, 16, 31);
+  }
+  // t = 13 and 3 heads, so the row -> (sequence, position) split crosses
+  // lane and sequence boundaries that are not powers of two: a full
+  // sequence, a left-padded one, a padded tail, and holes mid-sequence.
+  {
+    SCOPED_TRACE("t=13 heads=3");
+    const std::size_t t = 13;
+    auto key_valid = std::make_shared<std::vector<float>>(4 * t, 1.0f);
+    for (std::size_t j = 0; j < 4; ++j) (*key_valid)[t + j] = 0.0f;
+    for (std::size_t j = 9; j < t; ++j) (*key_valid)[2 * t + j] = 0.0f;
+    for (std::size_t j = 1; j < t; j += 3) (*key_valid)[3 * t + j] = 0.0f;
+    expect_attention_probs_match_composed(key_valid, 3, t, 8, 32);
   }
 }
 

@@ -11,13 +11,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/threadpool.h"
 #include "core/netfm.h"
 #include "core/traffic_lm.h"
 #include "model/kv_pool.h"
+#include "nn/gemm.h"
 #include "nn/kernels/kernels.h"
 #include "nn/tensor.h"
 
@@ -116,17 +119,38 @@ TEST(KernelGemm, BitwiseAcrossBackendsAndShapes) {
       {1, 1, 1},    {3, 5, 7},     {4, 16, 32}, {5, 17, 8},  {6, 33, 64},
       {7, 33, 64},  {64, 48, 5},   {33, 65, 19}, {16, 100, 64}};
   for (const auto& s : shapes) {
-    const Tensor a = Tensor::randn({s[0], s[2]}, rng, 1.0f, false);
-    const Tensor b = Tensor::randn({s[2], s[1]}, rng, 1.0f, false);
+    const std::size_t M = s[0], N = s[1], K = s[2];
+    const Tensor a = Tensor::randn({M, K}, rng, 1.0f, false);
+    const Tensor b = Tensor::randn({K, N}, rng, 1.0f, false);
+    const Tensor bias = Tensor::randn({N}, rng, 1.0f, false);
     kernels::set_backend(kernels::Backend::kScalar);
     const Tensor want = nn::matmul(a, b);
     // The scalar blocked kernel itself must match the naive oracle.
     expect_bitwise_equal(want, nn::matmul_reference(a, b), "scalar-vs-ref");
+    Tensor want_biased = Tensor::empty({M, N});
+    for (std::size_t i = 0; i < M * N; ++i)
+      want_biased.data()[i] = want.data()[i] + bias.data()[i % N];
+    // matmul's output comes from the workspace pool and may still hold an
+    // earlier run's values, so also run each backend into a NaN-filled
+    // buffer: a row the kernel never writes stays NaN and fails.
+    std::vector<float> packed(nn::packed_b_size(K, N));
+    nn::pack_b({b.data().data(), N, 1}, K, N, packed.data());
+    const auto into_nan = [&](const float* bias_row) {
+      Tensor c = Tensor::full({M, N}, std::numeric_limits<float>::quiet_NaN());
+      nn::gemm_packed(M, N, K, {a.data().data(), K, 1}, packed.data(),
+                      c.data().data(), /*accumulate=*/false,
+                      /*allow_parallel=*/true, bias_row);
+      return c;
+    };
     for (kernels::Backend backend : kernels::available()) {
       kernels::set_backend(backend);
+      const std::string name = kernels::backend_name(backend);
       with_thread_counts([&] {
-        expect_bitwise_equal(nn::matmul(a, b), want,
-                             kernels::backend_name(backend));
+        expect_bitwise_equal(nn::matmul(a, b), want, name.c_str());
+        expect_bitwise_equal(into_nan(nullptr), want,
+                             (name + " into NaN").c_str());
+        expect_bitwise_equal(into_nan(bias.data().data()), want_biased,
+                             (name + " into NaN + bias").c_str());
       });
     }
   }

@@ -355,6 +355,24 @@ TEST(Autograd, DropoutTrainScalesSurvivors) {
   EXPECT_NEAR(zeros, 250, 60);
 }
 
+TEST(Autograd, DropoutMaskEqualsChanceDraws) {
+  // The mask is Rng::chance(p) per element, in order: a twin generator
+  // replaying chance must predict every output and end in the same state,
+  // so a p = 1 run (chance draws nothing there) must not draw either.
+  const Tensor a = make_input({1000}, 36);
+  for (const float p : {0.1f, 0.25f, 0.5f, 0.9f, 1.0f}) {
+    SCOPED_TRACE(p);
+    Rng rng(37), ref(37);
+    const Tensor out = dropout(a, p, /*train=*/true, rng);
+    const float keep_scale = 1.0f / (1.0f - p);
+    for (std::size_t i = 0; i < a.size(); ++i)
+      ASSERT_EQ(out.data()[i],
+                a.data()[i] * (ref.chance(p) ? 0.0f : keep_scale))
+          << "element " << i;
+    EXPECT_EQ(rng.next(), ref.next());
+  }
+}
+
 TEST(Autograd, ChainedGraphReusesNodeGradOnce) {
   // y = x*x + x used twice in the graph: gradient must be 2x + 1.
   Tensor x({1}, {3.0f}, true);
