@@ -173,6 +173,7 @@ TrainLog NetFM::pretrain_impl(
   const std::size_t num_pairs = pairs_per_batch(options, use_pairs);
   const std::size_t num_contexts = options.batch_size - num_pairs;
 
+  nn::keep_freed_memory();
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t step = start_step; step < options.steps; ++step) {
     metrics::ScopedTimer step_timer(h_step);
@@ -335,6 +336,7 @@ TrainLog NetFM::fine_tune(
     }
   }
 
+  nn::keep_freed_memory();
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::size_t> order(encoded.size());
   std::iota(order.begin(), order.end(), 0);

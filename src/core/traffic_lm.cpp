@@ -116,6 +116,7 @@ TrainLog TrafficLM::train_impl(
     }
   }
 
+  nn::keep_freed_memory();
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t step = start_step; step < options.steps; ++step) {
     metrics::ScopedTimer step_timer(h_step);
@@ -209,19 +210,8 @@ double TrafficLM::loss(const std::vector<std::vector<std::string>>& corpus,
 std::vector<float> TrafficLM::next_logits(std::span<const int> ids) const {
   if (ids.empty())
     throw std::invalid_argument("TrafficLM::next_logits: empty input");
-  const nn::InferenceGuard guard;  // logits only — never build the graph
-  Batch batch;
-  batch.batch_size = 1;
-  batch.seq_len = ids.size();
-  batch.token_ids.assign(ids.begin(), ids.end());
-  batch.segment_ids.assign(ids.size(), 0);
-  batch.attention_mask.assign(ids.size(), 1.0f);
-  const Tensor hidden = encoder_->forward(batch, /*train=*/false);
-  const Tensor logits = head_->forward(hidden);
-  const std::size_t vocab = vocab_.size();
-  const std::size_t last = (ids.size() - 1) * vocab;
-  return {logits.data().begin() + last,
-          logits.data().begin() + last + vocab};
+  const std::vector<int> sequence(ids.begin(), ids.end());
+  return std::move(next_logits_batch({&sequence, 1})[0]);
 }
 
 std::vector<std::vector<float>> TrafficLM::next_logits_batch(

@@ -111,16 +111,17 @@ class TrafficLM {
   /// pays no pack cost.
   void prepack() const;
 
-  /// Logits for the next token after `ids` (ids start with [CLS]).
-  /// Re-runs the full forward every call — the uncached reference path that
-  /// LmDecoder is tested and benchmarked against. Throws invalid_argument
-  /// on empty input.
+  /// Logits for the next token after `ids` (ids start with [CLS]):
+  /// next_logits_batch over one sequence. Re-runs the full forward every
+  /// call — the uncached reference path that LmDecoder is tested and
+  /// benchmarked against. Throws invalid_argument on empty input.
   std::vector<float> next_logits(std::span<const int> ids) const;
 
   /// next_logits() for many sequences at once: pads to the longest
   /// sequence, runs one batched no-grad forward, and applies the LM head
-  /// only to each sequence's last real position. Element-for-element
-  /// bitwise identical to calling next_logits() per sequence — the padded
+  /// only to each sequence's last real position. Each sequence's rows are
+  /// computed independently of its padded neighbours, so element i is
+  /// bitwise equal to next_logits(sequences[i]), the B=1 case — the padded
   /// forward the serving scheduler batches compatible requests into.
   std::vector<std::vector<float>> next_logits_batch(
       std::span<const std::vector<int>> sequences) const;

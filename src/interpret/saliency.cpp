@@ -32,9 +32,13 @@ std::vector<TokenAttribution> occlusion_saliency(
 std::vector<TokenAttribution> attention_rollout(
     const core::NetFM& model, const std::vector<std::string>& context,
     std::size_t max_seq_len) {
-  // Run a forward pass so the encoder caches its attention maps.
-  (void)model.embed(context, max_seq_len);
-  const auto attentions = model.encoder().last_attentions();
+  // The sequence embed() would run: one context, padded to seq_len.
+  const std::size_t seq_len =
+      std::min(max_seq_len, model.config().max_seq_len);
+  const core::Encoded item =
+      core::encode_context(context, model.vocab(), seq_len);
+  const auto attentions =
+      model.encoder().attentions(core::make_batch({&item, 1}));
   if (attentions.empty()) return {};
 
   const std::size_t heads = model.config().num_heads;

@@ -48,13 +48,10 @@ Pooler::Pooler(std::size_t d_model, Rng& rng)
 Tensor Pooler::forward(const Tensor& hidden, std::size_t batch_size,
                        std::size_t seq_len) const {
   // Gather row 0 of every sequence.
-  auto map = std::make_shared<std::vector<std::size_t>>();
-  const std::size_t d_model = hidden.dim(1);
-  map->resize(batch_size * d_model);
+  std::vector<int> first_rows(batch_size);
   for (std::size_t b = 0; b < batch_size; ++b)
-    for (std::size_t d = 0; d < d_model; ++d)
-      (*map)[b * d_model + d] = b * seq_len * d_model + d;
-  const Tensor cls = nn::remap(hidden, {batch_size, d_model}, map);
+    first_rows[b] = static_cast<int>(b * seq_len);
+  const Tensor cls = nn::embedding(hidden, first_rows);
   return nn::tanh_op(dense_.forward(cls));
 }
 

@@ -32,18 +32,16 @@ struct KvBlockPool::State {
 };
 
 KvBlockPool::KvBlockPool(std::size_t layers, std::size_t heads,
-                         std::size_t head_dim, std::size_t block_tokens,
-                         std::size_t num_blocks)
+                         std::size_t head_dim, std::size_t num_blocks)
     : layers_(layers),
       heads_(heads),
       head_dim_(head_dim),
-      block_tokens_(block_tokens),
       num_blocks_(num_blocks),
       state_(std::make_unique<State>()) {
-  if (layers == 0 || heads == 0 || head_dim == 0 || block_tokens == 0 ||
-      num_blocks == 0)
+  if (layers == 0 || heads == 0 || head_dim == 0 || num_blocks == 0)
     throw std::invalid_argument("KvBlockPool: all dimensions must be > 0");
-  const std::size_t per_layer = num_blocks_ * heads_ * block_tokens_ * head_dim_;
+  const std::size_t per_layer =
+      num_blocks_ * heads_ * kKvBlockTokens * head_dim_;
   keys_.resize(layers_);
   values_.resize(layers_);
   for (std::size_t l = 0; l < layers_; ++l) {

@@ -3,11 +3,11 @@
 // `layers x heads x max_seq_len x head_dim` reservation.
 //
 // A KvBlockPool owns, per layer, one K and one V buffer. Each (block, head)
-// is one contiguous run of block_tokens x head_dim floats, both laid out
+// is one contiguous run of kKvBlockTokens x head_dim floats, both laid out
 // for the dispatched weighted_sum kernel:
-//  - V as [num_blocks][heads][block_tokens][head_dim]: the run's rows are
+//  - V as [num_blocks][heads][kKvBlockTokens][head_dim]: the run's rows are
 //    tokens, so attn · V over a block is weighted_sum(probs, V_run).
-//  - K transposed, as [num_blocks][heads][head_dim][block_tokens]: the
+//  - K transposed, as [num_blocks][heads][head_dim][kKvBlockTokens]: the
 //    run's rows are head dimensions, so the block's scores q · k_j are
 //    weighted_sum(q, K_run) — one SIMD lane per key, dk reduced serially.
 // Blocks are handed out from a
@@ -48,8 +48,8 @@ class ContextFullError : public std::invalid_argument {
   bool pool_exhausted_;
 };
 
-/// Tokens per KV block of every encoder-made pool: one 16-float zmm of
-/// keys in the transposed K layout.
+/// Tokens per KV block of every pool: one 16-float zmm of keys in the
+/// transposed K layout.
 inline constexpr std::size_t kKvBlockTokens = 16;
 
 /// ceil(tokens / block_tokens): blocks needed to hold `tokens` tokens.
@@ -61,7 +61,7 @@ constexpr std::size_t kv_blocks_for(std::size_t tokens,
 class KvBlockPool {
  public:
   KvBlockPool(std::size_t layers, std::size_t heads, std::size_t head_dim,
-              std::size_t block_tokens, std::size_t num_blocks);
+              std::size_t num_blocks);
   ~KvBlockPool();
   KvBlockPool(const KvBlockPool&) = delete;
   KvBlockPool& operator=(const KvBlockPool&) = delete;
@@ -75,11 +75,10 @@ class KvBlockPool {
   std::size_t layers() const noexcept { return layers_; }
   std::size_t heads() const noexcept { return heads_; }
   std::size_t head_dim() const noexcept { return head_dim_; }
-  std::size_t block_tokens() const noexcept { return block_tokens_; }
   std::size_t capacity_blocks() const noexcept { return num_blocks_; }
   /// K + V bytes one block reserves across all layers.
   std::size_t bytes_per_block() const noexcept {
-    return layers_ * 2 * heads_ * block_tokens_ * head_dim_ * sizeof(float);
+    return layers_ * 2 * heads_ * kKvBlockTokens * head_dim_ * sizeof(float);
   }
 
   std::size_t blocks_in_use() const noexcept;
@@ -90,14 +89,14 @@ class KvBlockPool {
     return blocks_in_use() * bytes_per_block();
   }
 
-  /// Base of head h's contiguous [head_dim, block_tokens] (transposed) key
+  /// Base of head h's contiguous [head_dim, kKvBlockTokens] (transposed) key
   /// run inside `block` of `layer`: element (c, offset) is dimension c of
   /// the block-local token at that offset.
   float* key_head(std::size_t layer, std::uint32_t block,
                   std::size_t head) noexcept {
     return keys_[layer].data() + run_base(block, head);
   }
-  /// Base of head h's contiguous [block_tokens, head_dim] value run: row
+  /// Base of head h's contiguous [kKvBlockTokens, head_dim] value run: row
   /// `offset` is the block-local token at that offset.
   float* value_head(std::size_t layer, std::uint32_t block,
                     std::size_t head) noexcept {
@@ -114,11 +113,11 @@ class KvBlockPool {
 
  private:
   std::size_t run_base(std::uint32_t block, std::size_t head) const noexcept {
-    return (static_cast<std::size_t>(block) * heads_ + head) * block_tokens_ *
-           head_dim_;
+    return (static_cast<std::size_t>(block) * heads_ + head) *
+           kKvBlockTokens * head_dim_;
   }
 
-  std::size_t layers_, heads_, head_dim_, block_tokens_, num_blocks_;
+  std::size_t layers_, heads_, head_dim_, num_blocks_;
   std::vector<nn::FloatBuffer> keys_, values_;  // one per layer
 
   struct State;
@@ -126,8 +125,8 @@ class KvBlockPool {
 };
 
 /// One session's view into a KvBlockPool: a block table in token order.
-/// Token t of the sequence lives at offset t % block_tokens of block
-/// blocks[t / block_tokens]. Move-only; the destructor returns held blocks
+/// Token t of the sequence lives at offset t % kKvBlockTokens of block
+/// blocks[t / kKvBlockTokens]. Move-only; the destructor returns held blocks
 /// to the pool.
 struct PagedKvCache {
   std::shared_ptr<KvBlockPool> pool;

@@ -79,76 +79,31 @@ EncoderBlock::EncoderBlock(const TransformerConfig& config, Rng& rng,
       norm_attn_(config.d_model, prefix + ".norm_attn"),
       norm_ffn_(config.d_model, prefix + ".norm_ffn") {}
 
-bool AttentionContext::same_geometry(
-    const Batch& batch, const TransformerConfig& config) const noexcept {
-  return split && merge && batch_size == batch.batch_size &&
-         seq_len == batch.seq_len && heads == config.num_heads &&
-         head_dim == config.head_dim();
-}
-
-AttentionContext AttentionContext::build(const Batch& batch,
-                                         const TransformerConfig& config,
-                                         const AttentionContext* previous) {
-  AttentionContext ctx;
-  ctx.batch_size = batch.batch_size;
-  ctx.seq_len = batch.seq_len;
-  ctx.heads = config.num_heads;
-  ctx.head_dim = config.head_dim();
-  const std::size_t bsz = ctx.batch_size, seq = ctx.seq_len;
-  const std::size_t heads = ctx.heads, head_dim = ctx.head_dim;
-  ctx.headed = nn::Shape{bsz * heads, seq, head_dim};
-
-  if (previous && previous->same_geometry(batch, config)) {
-    // Index maps between [B*T, D] and [B*H, T, dk] depend only on the
-    // geometry — reuse them across forwards.
-    ctx.split = previous->split;
-    ctx.merge = previous->merge;
-  } else {
-    const std::size_t d_model = heads * head_dim;
-    auto split =
-        std::make_shared<std::vector<std::size_t>>(bsz * seq * d_model);
-    auto merge =
-        std::make_shared<std::vector<std::size_t>>(bsz * seq * d_model);
-    for (std::size_t b = 0; b < bsz; ++b)
-      for (std::size_t h = 0; h < heads; ++h)
-        for (std::size_t t = 0; t < seq; ++t)
-          for (std::size_t k = 0; k < head_dim; ++k) {
-            const std::size_t flat =
-                (b * seq + t) * d_model + h * head_dim + k;
-            const std::size_t headed =
-                ((b * heads + h) * seq + t) * head_dim + k;
-            (*split)[headed] = flat;
-            (*merge)[flat] = headed;
-          }
-    ctx.split = std::move(split);
-    ctx.merge = std::move(merge);
-  }
-
-  // One key flag per (sequence, position), shared by every head and layer;
-  // attention_probs derives the causal triangle from the query position.
-  ctx.key_mask = {std::make_shared<const std::vector<float>>(
-                      batch.attention_mask),
-                  heads, config.causal};
-  return ctx;
-}
-
-Tensor EncoderBlock::forward(const Tensor& x, const AttentionContext& ctx,
-                             bool train, Rng& rng) const {
+Tensor EncoderBlock::forward(const Tensor& x, std::size_t seq_len,
+                             const nn::KeyMask& mask, bool train, Rng& rng,
+                             Tensor* attention) const {
   const TransformerConfig& cfg = *config_;
+  const std::size_t heads = cfg.num_heads, dk = cfg.head_dim();
+  const std::size_t bsz = seq_len == 0 ? 0 : x.dim(0) / seq_len;
 
-  const Tensor q = nn::remap(query_.forward(x), ctx.headed, ctx.split);
-  const Tensor k = nn::remap(key_.forward(x), ctx.headed, ctx.split);
-  const Tensor v = nn::remap(value_.forward(x), ctx.headed, ctx.split);
+  // Head split: [B*T, D] viewed as (B, T, H, dk) -> [B*H, T, dk].
+  const auto split = [&](const Tensor& t) {
+    return nn::swap_axes(t, {bsz, seq_len, heads, dk},
+                         {bsz * heads, seq_len, dk});
+  };
+  const Tensor q = split(query_.forward(x));
+  const Tensor k = split(key_.forward(x));
+  const Tensor v = split(value_.forward(x));
 
-  const float inv_sqrt_dk =
-      1.0f / std::sqrt(static_cast<float>(ctx.head_dim));
-  Tensor attn = nn::attention_probs(q, k, ctx.key_mask, inv_sqrt_dk);
-  last_attention_ = attn;
+  const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(dk));
+  Tensor attn = nn::attention_probs(q, k, mask, inv_sqrt_dk);
+  if (attention != nullptr) *attention = attn;
   attn = nn::dropout(attn, cfg.dropout, train, rng);
 
-  const Tensor context = nn::matmul(attn, v);
-  const Tensor merged = nn::remap(
-      context, {ctx.batch_size * ctx.seq_len, cfg.d_model}, ctx.merge);
+  // Head merge: [B*H, T, dk] viewed as (B, H, T, dk) -> [B*T, D].
+  const Tensor merged =
+      nn::swap_axes(nn::matmul(attn, v), {bsz, heads, seq_len, dk},
+                    {bsz * seq_len, cfg.d_model});
   Tensor attended = output_.forward(merged);
   attended = nn::dropout(attended, cfg.dropout, train, rng);
   const Tensor x1 = norm_attn_.forward(nn::add(x, attended));
@@ -178,6 +133,7 @@ Tensor EncoderBlock::forward_incremental_batch(
   const std::size_t dk = cfg.head_dim();
   const std::size_t d_model = cfg.d_model;
   const std::size_t bsz = caches.size();
+  constexpr std::size_t bt = kKvBlockTokens;
 
   const Tensor q = query_.forward(x);  // [B, D]
   const Tensor k = key_.forward(x);
@@ -192,7 +148,6 @@ Tensor EncoderBlock::forward_incremental_batch(
   for (std::size_t b = 0; b < bsz; ++b) {
     PagedKvCache& cache = *caches[b];
     KvBlockPool& pool = *cache.pool;
-    const std::size_t bt = pool.block_tokens();
     const std::size_t t = cache.length;
     const std::uint32_t blk = cache.blocks[t / bt];
     const std::size_t off = t % bt;
@@ -211,17 +166,15 @@ Tensor EncoderBlock::forward_incremental_batch(
   const float* qp = q.data().data();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
   std::size_t max_slots = 0;  // key slots in the widest block table
-  for (const PagedKvCache* cache : caches) {
-    const std::size_t bt = cache->pool->block_tokens();
-    max_slots = std::max(max_slots, kv_blocks_for(cache->length + 1, bt) * bt);
-  }
+  for (const PagedKvCache* cache : caches)
+    max_slots =
+        std::max(max_slots, kv_blocks_for(cache->length + 1, bt) * bt);
   std::span<float> s = nn::Workspace::current().scratch(max_slots);
   const nn::kernels::KernelTable& kt = nn::kernels::table();
   std::vector<const float*> runs;
   for (std::size_t b = 0; b < bsz; ++b) {
     const PagedKvCache& cache = *caches[b];
     const KvBlockPool& pool = *cache.pool;
-    const std::size_t bt = pool.block_tokens();
     const std::size_t t = cache.length;
     const std::size_t n_runs = kv_blocks_for(t + 1, bt);
     for (std::size_t h = 0; h < heads; ++h) {
@@ -301,6 +254,18 @@ TransformerEncoder::TransformerEncoder(const TransformerConfig& config)
 }
 
 Tensor TransformerEncoder::forward(const Batch& batch, bool train) const {
+  return run(batch, train, nullptr);
+}
+
+std::vector<Tensor> TransformerEncoder::attentions(const Batch& batch) const {
+  const nn::InferenceGuard guard;
+  std::vector<Tensor> out;
+  (void)run(batch, /*train=*/false, &out);
+  return out;
+}
+
+Tensor TransformerEncoder::run(const Batch& batch, bool train,
+                               std::vector<Tensor>* attentions) const {
   static const auto h_forward = metrics::histogram("infer.forward_ns");
   metrics::ScopedTimer forward_timer(h_forward);
   nn::Workspace::current().reset_scratch();
@@ -320,11 +285,16 @@ Tensor TransformerEncoder::forward(const Batch& batch, bool train) const {
   x = embed_norm_.forward(x);
   x = nn::dropout(x, config_.dropout, train, rng_);
 
-  // One attention context per forward, shared by all layers (head maps are
-  // additionally reused from the previous forward when shapes repeat).
-  attn_ctx_ = AttentionContext::build(batch, config_, &attn_ctx_);
-  for (const auto& block : blocks_)
-    x = block->forward(x, attn_ctx_, train, rng_);
+  // One key flag per (sequence, position), shared by every head and layer;
+  // attention_probs derives the causal triangle from the query position.
+  const nn::KeyMask mask{
+      std::make_shared<const std::vector<float>>(batch.attention_mask),
+      config_.num_heads, config_.causal};
+  if (attentions != nullptr) attentions->resize(blocks_.size());
+  for (std::size_t layer = 0; layer < blocks_.size(); ++layer)
+    x = blocks_[layer]->forward(
+        x, batch.seq_len, mask, train, rng_,
+        attentions != nullptr ? &(*attentions)[layer] : nullptr);
   return x;
 }
 
@@ -336,8 +306,7 @@ std::shared_ptr<KvBlockPool> TransformerEncoder::make_block_pool(
     std::size_t num_blocks) const {
   if (num_blocks == 0) num_blocks = blocks_per_sequence();
   return std::make_shared<KvBlockPool>(config_.num_layers, config_.num_heads,
-                                       config_.head_dim(),
-                                       kKvBlockTokens, num_blocks);
+                                       config_.head_dim(), num_blocks);
 }
 
 PagedKvCache TransformerEncoder::make_paged_cache(
@@ -403,8 +372,7 @@ Tensor TransformerEncoder::forward_incremental_batch(
   bool exhausted = false;
   for (std::size_t b = 0; b < caches.size() && !exhausted; ++b) {
     PagedKvCache& cache = *caches[b];
-    const std::size_t need =
-        kv_blocks_for(cache.length + 1, cache.pool->block_tokens());
+    const std::size_t need = kv_blocks_for(cache.length + 1, kKvBlockTokens);
     while (cache.blocks.size() < need) {
       std::uint32_t blk = 0;
       if (!cache.pool->try_alloc(&blk)) {
@@ -458,13 +426,6 @@ nn::ParameterList TransformerEncoder::parameters() const {
 
 void TransformerEncoder::prepack() const {
   for (const auto& block : blocks_) block->prepack();
-}
-
-std::vector<Tensor> TransformerEncoder::last_attentions() const {
-  std::vector<Tensor> out;
-  out.reserve(blocks_.size());
-  for (const auto& block : blocks_) out.push_back(block->last_attention());
-  return out;
 }
 
 }  // namespace netfm::model

@@ -2,7 +2,9 @@
 //
 // Forward is batched: a batch of B sequences of length T flows through the
 // network as rank-2 [B*T, D] activations, with attention computed as
-// batched rank-3 [B*H, T, *] matmuls (head split/merge via nn::remap).
+// batched rank-3 [B*H, T, *] matmuls (head split/merge via nn::swap_axes).
+// A forward keeps no state between calls: its key mask is built per call,
+// and attention maps are returned only by attentions().
 // Post-LN residual blocks, learned positions, GELU FFN — the original BERT
 // recipe, scaled down.
 #pragma once
@@ -28,29 +30,6 @@ struct Batch {
 
   /// Single-sequence convenience (B=1, no padding).
   static Batch single(std::span<const int> ids);
-};
-
-/// Per-forward attention geometry shared by every encoder block: the head
-/// split/merge index maps and the key mask are built once per batch in
-/// TransformerEncoder::forward instead of once per layer per forward. The
-/// maps depend only on (batch, seq, heads), so an encoder reuses them
-/// across forwards with the same geometry. The key mask is the batch's
-/// [B*T] attention_mask plus the head count and causal flag.
-struct AttentionContext {
-  std::size_t batch_size = 0, seq_len = 0, heads = 0, head_dim = 0;
-  nn::Shape headed;  // [B*H, T, head_dim]
-  std::shared_ptr<const std::vector<std::size_t>> split;  // [B*T,D]->headed
-  std::shared_ptr<const std::vector<std::size_t>> merge;  // headed->[B*T,D]
-  nn::KeyMask key_mask;
-
-  bool same_geometry(const Batch& batch,
-                     const TransformerConfig& config) const noexcept;
-
-  /// Builds the context; reuses `previous`'s index maps when the geometry
-  /// matches (the common case of fixed-shape training batches).
-  static AttentionContext build(const Batch& batch,
-                                const TransformerConfig& config,
-                                const AttentionContext* previous = nullptr);
 };
 
 /// Dense affine layer (weight [in, out], bias [out]).
@@ -92,11 +71,13 @@ class EncoderBlock {
   EncoderBlock(const TransformerConfig& config, Rng& rng,
                const std::string& prefix);
 
-  /// x is [B*T, D]; returns same shape. `train` enables dropout. `ctx` is
-  /// the batch's attention geometry, built once per forward by the encoder
-  /// (AttentionContext::build) and shared across layers.
-  nn::Tensor forward(const nn::Tensor& x, const AttentionContext& ctx,
-                     bool train, Rng& rng) const;
+  /// x is [B*T, D]; returns same shape. `mask` is the batch's key mask,
+  /// built once per forward by the encoder and shared across layers.
+  /// `train` enables dropout. When `attention` is non-null it receives
+  /// this layer's probabilities, [B*H, T, T].
+  nn::Tensor forward(const nn::Tensor& x, std::size_t seq_len,
+                     const nn::KeyMask& mask, bool train, Rng& rng,
+                     nn::Tensor* attention = nullptr) const;
 
   /// Batched one-token decode step over B independent sessions: x is
   /// [B, D] (row b is session b's token at position caches[b]->length).
@@ -105,8 +86,7 @@ class EncoderBlock {
   /// the corresponding row of the full forward over session b's prefix
   /// (see the implementation notes). Callers must have reserved each
   /// cache's block for this step already (see
-  /// TransformerEncoder::forward_incremental_batch). Does not update
-  /// last_attention().
+  /// TransformerEncoder::forward_incremental_batch).
   nn::Tensor forward_incremental_batch(const nn::Tensor& x,
                                        std::span<PagedKvCache* const> caches,
                                        std::size_t layer) const;
@@ -116,16 +96,11 @@ class EncoderBlock {
   /// Eagerly packs every projection's weight panels.
   void prepack() const;
 
-  /// Attention probabilities from the most recent forward: one tensor of
-  /// shape [B*H, T, T]. Kept for interpretability (attention rollout).
-  const nn::Tensor& last_attention() const noexcept { return last_attention_; }
-
  private:
   const TransformerConfig* config_;
   Linear query_, key_, value_, output_;
   Linear ffn_in_, ffn_out_;
   LayerNorm norm_attn_, norm_ffn_;
-  mutable nn::Tensor last_attention_;
 };
 
 /// The full encoder: embeddings -> N blocks.
@@ -175,15 +150,19 @@ class TransformerEncoder {
     return token_embed_.tensor;
   }
 
-  /// Per-layer attention maps from the last forward ([B*H, T, T] each).
-  std::vector<nn::Tensor> last_attentions() const;
+  /// Per-layer attention probabilities ([B*H, T, T] each) of a no-grad
+  /// forward over `batch`, for interpretability (attention rollout). The
+  /// same maps forward() computes, bit for bit.
+  std::vector<nn::Tensor> attentions(const Batch& batch) const;
 
  private:
+  /// forward(), also handing each layer's probabilities to `attentions`
+  /// when it is non-null.
+  nn::Tensor run(const Batch& batch, bool train,
+                 std::vector<nn::Tensor>* attentions) const;
+
   TransformerConfig config_;
-  mutable Rng rng_;  // dropout stream (forward-only state)
-  // Attention geometry from the previous forward; its index maps are
-  // reused whenever the batch shape is unchanged.
-  mutable AttentionContext attn_ctx_;
+  mutable Rng rng_;  // dropout stream, drawn only when train is set
   nn::Parameter token_embed_, position_embed_, segment_embed_;
   LayerNorm embed_norm_;
   std::vector<std::unique_ptr<EncoderBlock>> blocks_;

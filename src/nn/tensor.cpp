@@ -1,5 +1,9 @@
 #include "nn/tensor.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -215,6 +219,17 @@ void TensorNode::ensure_grad() {
 }
 
 bool inference_mode() noexcept { return t_inference_mode; }
+
+void keep_freed_memory() {
+#if defined(__GLIBC__)
+  static const bool configured = [] {
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+    return true;
+  }();
+  (void)configured;
+#endif
+}
 
 InferenceGuard::InferenceGuard() noexcept : previous_(t_inference_mode) {
   t_inference_mode = true;
@@ -1139,22 +1154,31 @@ Tensor mean_rows(const Tensor& a) {
   return Tensor(node);
 }
 
-Tensor remap(const Tensor& a, Shape out_shape,
-             std::shared_ptr<const std::vector<std::size_t>> map) {
-  check(map != nullptr && map->size() == numel(out_shape),
-        "remap: map size must match output shape");
-  const std::size_t in_size = a.size();
+Tensor swap_axes(const Tensor& a, const Shape& view, Shape out_shape) {
+  check(view.size() == 4 && numel(view) == a.size() &&
+            numel(out_shape) == a.size(),
+        "swap_axes: view and out_shape must match the element count");
+  const std::size_t outer = view[0], n1 = view[1], n2 = view[2],
+                    inner = view[3];
   auto node = make_node(std::move(out_shape), {a.node()}, Init::kUninit);
+  // Run (o, i, j) of the input is run (o, j, i) of the output.
   const float* in = a.data().data();
-  for (std::size_t i = 0; i < map->size(); ++i) {
-    check((*map)[i] < in_size, "remap: index out of range");
-    node->value[i] = in[(*map)[i]];
-  }
-  set_backward(node, [map](TensorNode& self) {
+  float* out = node->value.data();
+  for (std::size_t o = 0; o < outer; ++o)
+    for (std::size_t j = 0; j < n2; ++j)
+      for (std::size_t i = 0; i < n1; ++i)
+        std::copy_n(in + ((o * n1 + i) * n2 + j) * inner, inner,
+                    out + ((o * n2 + j) * n1 + i) * inner);
+  set_backward(node, [outer, n1, n2, inner](TensorNode& self) {
     TensorNode& A = *self.parents[0];
     if (!A.requires_grad) return;
-    for (std::size_t i = 0; i < map->size(); ++i)
-      A.grad[(*map)[i]] += self.grad[i];
+    for (std::size_t o = 0; o < outer; ++o)
+      for (std::size_t j = 0; j < n2; ++j)
+        for (std::size_t i = 0; i < n1; ++i) {
+          const float* g = self.grad.data() + ((o * n2 + j) * n1 + i) * inner;
+          float* ga = A.grad.data() + ((o * n1 + i) * n2 + j) * inner;
+          for (std::size_t c = 0; c < inner; ++c) ga[c] += g[c];
+        }
   });
   return Tensor(node);
 }

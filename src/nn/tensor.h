@@ -101,6 +101,17 @@ class InferenceGuard {
   bool previous_;
 };
 
+/// Makes the C library's allocator keep the memory a training step frees
+/// for the next step. A step builds and frees its whole graph, tens of MB;
+/// under glibc's default dynamic thresholds (128 KiB at start, raised only
+/// to the largest block freed so far) that memory is trimmed off the heap
+/// top when the step ends and page-faulted back in during the next one.
+/// Fixes both thresholds once per process at the ceiling glibc's dynamic
+/// rule reaches on 64-bit: blocks below 32 MiB come from the heap, and up
+/// to 64 MiB of free heap top stays mapped. No-op outside glibc. The
+/// transformer training loops call it on entry.
+void keep_freed_memory();
+
 /// Value-semantic handle to a tensor node.
 class Tensor {
  public:
@@ -245,11 +256,13 @@ Tensor sum(const Tensor& a);
 /// Mean of rows of a 2D tensor -> [D].
 Tensor mean_rows(const Tensor& a);
 
-/// General differentiable gather: out element i = a element map[i].
-/// `map` indices must be < a.size(); repeated indices accumulate gradient.
-/// This is the primitive behind head split/merge permutations in attention.
-Tensor remap(const Tensor& a, Shape out_shape,
-             std::shared_ptr<const std::vector<std::size_t>> map);
+/// Swaps the two middle axes of `a` viewed as `view` = [outer, n1, n2,
+/// inner]: out[o, j, i, :] = a[o, i, j, :], copied as runs of `inner`
+/// floats, with the result shaped `out_shape` (same element count).
+/// Attention's head split is (B, T, H, dk) -> [B*H, T, dk] and its merge is
+/// (B, H, T, dk) -> [B*T, D]. The backward applies the inverse
+/// permutation, one add per element.
+Tensor swap_axes(const Tensor& a, const Shape& view, Shape out_shape);
 
 /// Cross-entropy between logits [N, C] and integer targets (len N).
 /// Targets < 0 are ignored (masked LM convention). Returns scalar mean.

@@ -52,13 +52,15 @@
 //                reply — the worker never dies. A dry KV pool (or the
 //                model.kv.alloc point) surfaces as typed kContextFull.
 //
-// Thread confinement: ALL model forwards run on the scheduler's single
-// worker thread. TransformerEncoder::forward is not reentrant on one
-// instance (it reuses a per-instance attention context across calls), so
-// while a scheduler is live, direct batched calls on the same
-// TrafficLM/NetFM from other threads must not overlap in-flight requests.
-// One scheduler per model instance; KV decoding on other threads stays
-// safe because forward_incremental_batch touches only the caller's
+// Thread confinement: the scheduler runs all of its model work on its
+// single worker thread. A no-grad forward writes no per-call state into
+// the model, so direct next_logits_batch/embed_flows calls from other
+// threads may overlap in-flight requests on the same TrafficLM/NetFM
+// (ReentrantForward.ConcurrentBatchedCallsBitwiseEqualSerial). The only
+// per-instance state a forward touches is the encoder's dropout stream,
+// drawn in train mode alone; training also changes the weights, so it must
+// not overlap any other call on the model. KV decoding on other threads
+// stays safe because forward_incremental_batch touches only the caller's
 // PagedKvCaches.
 //
 // KV lives only inside a tick: each score/generate request decodes on its

@@ -318,8 +318,7 @@ TEST(CausalEncoder, FuturePositionsGetNoAttention) {
   batch.token_ids = {1, 2, 3, 4, 5, 6};
   batch.segment_ids.assign(6, 0);
   batch.attention_mask.assign(6, 1.0f);
-  (void)encoder.forward(batch);
-  for (const nn::Tensor& attn : encoder.last_attentions())
+  for (const nn::Tensor& attn : encoder.attentions(batch))
     for (std::size_t h = 0; h < config.num_heads; ++h)
       for (std::size_t i = 0; i < 6; ++i)
         for (std::size_t j = i + 1; j < 6; ++j)

@@ -339,7 +339,7 @@ TEST(KernelAttention, IncrementalDecodeOnDirtyKvBlocksBitwise) {
       // Now poison every K and V slot the decoder holds with NaN and
       // replay: a slot past the current token that reached a score, a
       // softmax or the context would turn the logits into NaN.
-      const std::size_t run = pool->block_tokens() * pool->head_dim();
+      const std::size_t run = model::kKvBlockTokens * pool->head_dim();
       for (std::size_t l = 0; l < pool->layers(); ++l)
         for (std::uint32_t b = 0; b < pool->capacity_blocks(); ++b)
           for (std::size_t h = 0; h < pool->heads(); ++h) {

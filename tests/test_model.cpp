@@ -79,8 +79,7 @@ TEST(Transformer, AttentionIgnoresMaskedPositions) {
   TransformerEncoder encoder(test_config());
   Batch batch = make_test_batch(1, 8, 32, 4);
   batch.attention_mask[7] = 0.0f;
-  (void)encoder.forward(batch);
-  for (const nn::Tensor& attn : encoder.last_attentions()) {
+  for (const nn::Tensor& attn : encoder.attentions(batch)) {
     // Every row's attention to position 7 is ~0.
     const std::size_t seq = 8;
     for (std::size_t h = 0; h < encoder.config().num_heads; ++h)
@@ -92,8 +91,7 @@ TEST(Transformer, AttentionIgnoresMaskedPositions) {
 TEST(Transformer, AttentionRowsSumToOne) {
   TransformerEncoder encoder(test_config());
   const Batch batch = make_test_batch(2, 8, 32, 5);
-  (void)encoder.forward(batch);
-  const auto attentions = encoder.last_attentions();
+  const auto attentions = encoder.attentions(batch);
   ASSERT_EQ(attentions.size(), encoder.config().num_layers);
   const nn::Tensor& attn = attentions[0];
   const std::size_t rows = attn.dim(0) * attn.dim(1);

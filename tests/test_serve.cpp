@@ -357,9 +357,6 @@ TEST(Scheduler, ServedRepliesBitwiseEqualDirectCalls) {
   const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
   core::NetFM fm(vocab, tiny_config(vocab.size()));
 
-  // References first: batched forwards are confined to the scheduler's
-  // worker thread (TransformerEncoder::forward is not reentrant on one
-  // instance), so direct calls must not overlap in-flight serving.
   constexpr std::size_t kSessions = 24;
   std::vector<double> expected_scores(kSessions);
   std::vector<std::vector<float>> expected_logits(kSessions);

@@ -270,11 +270,59 @@ TEST(Autograd, ReshapeSliceConcatGradients) {
       b, [&] { return mean(concat_rows({slice_rows(a, 0, 2), b})); });
 }
 
-TEST(Autograd, RemapGradientWithRepeats) {
-  Tensor a = make_input({4}, 27);
-  auto map = std::make_shared<const std::vector<std::size_t>>(
-      std::vector<std::size_t>{0, 0, 2, 3, 1, 2});
-  check_gradients(a, [&] { return sum(remap(a, {6}, map)); });
+TEST(Autograd, SwapAxesMatchesIndexLoopOracle) {
+  // Views [outer, n1, n2, inner]: a head split with T != H, inner = 1, and
+  // a single sequence (outer = 1).
+  const std::array<Shape, 3> views = {
+      Shape{2, 3, 4, 5}, Shape{2, 3, 4, 1}, Shape{1, 5, 2, 3}};
+  std::uint64_t seed = 27;
+  for (const Shape& view : views) {
+    const std::size_t outer = view[0], n1 = view[1], n2 = view[2],
+                      inner = view[3];
+    const Shape out_shape{outer * n2, n1, inner};
+    Tensor a = make_input({outer * n1 * n2 * inner}, seed++);
+    // Upstream gradient w: d sum(out * w) / d out is w exactly. `a` is
+    // also used directly (weight u), so the permuted gradient has to add
+    // into an existing value rather than overwrite it.
+    const Tensor w = make_input(out_shape, seed++);
+    const Tensor u = make_input(a.shape(), seed++);
+    const auto loss = [&] {
+      return add(sum(mul(swap_axes(a, view, out_shape), w)),
+                 sum(mul(a, u)));
+    };
+    a.zero_grad();
+    const Tensor out = swap_axes(a, view, out_shape);
+    EXPECT_EQ(out.shape(), out_shape);
+    loss().backward();
+    for (std::size_t o = 0; o < outer; ++o)
+      for (std::size_t i = 0; i < n1; ++i)
+        for (std::size_t j = 0; j < n2; ++j)
+          for (std::size_t c = 0; c < inner; ++c) {
+            const std::size_t src = ((o * n1 + i) * n2 + j) * inner + c;
+            const std::size_t dst = ((o * n2 + j) * n1 + i) * inner + c;
+            EXPECT_EQ(out.data()[dst], a.data()[src]) << "element " << dst;
+            EXPECT_EQ(a.grad()[src], u.data()[src] + w.data()[dst])
+                << "element " << src;
+          }
+    check_gradients(a, loss);
+  }
+
+  // A head split followed by its merge gives back the input, forward and
+  // backward, bit for bit: B = 2, T = 3, H = 4, dk = 5.
+  Tensor x = make_input({6, 20}, seed++);
+  const Tensor w = make_input({6, 20}, seed++);
+  x.zero_grad();
+  const Tensor back = swap_axes(swap_axes(x, {2, 3, 4, 5}, {8, 3, 5}),
+                                {2, 4, 3, 5}, {6, 20});
+  ASSERT_EQ(back.shape(), x.shape());
+  sum(mul(back, w)).backward();
+  for (std::size_t e = 0; e < x.size(); ++e) {
+    EXPECT_EQ(back.data()[e], x.data()[e]) << "element " << e;
+    EXPECT_EQ(x.grad()[e], w.data()[e]) << "element " << e;
+  }
+
+  EXPECT_THROW(swap_axes(x, {2, 3, 4, 4}, {8, 3, 5}), std::invalid_argument);
+  EXPECT_THROW(swap_axes(x, {2, 3, 4, 5}, {8, 3, 4}), std::invalid_argument);
 }
 
 TEST(Autograd, AttentionProbsBlocksHiddenKeyGradient) {
