@@ -211,8 +211,7 @@ TrainLog NetFM::pretrain_impl(
       flat_targets.insert(flat_targets.end(), t.begin(), t.end());
 
     const Tensor hidden = encoder_->forward(batch, /*train=*/true);
-    const Tensor logits = mlm_head_->forward(hidden);
-    Tensor loss = nn::cross_entropy(logits, flat_targets);
+    Tensor loss = mlm_head_->masked_loss(hidden, flat_targets);
 
     if (num_pairs > 0) {
       // Next-packet head reads the pooled output of the pair rows only.
@@ -284,8 +283,7 @@ double NetFM::mlm_loss(const std::vector<std::vector<std::string>>& corpus,
     }
     const Batch batch = make_batch(items);
     const Tensor hidden = encoder_->forward(batch, /*train=*/false);
-    const Tensor logits = mlm_head_->forward(hidden);
-    total += nn::cross_entropy(logits, targets).item();
+    total += mlm_head_->masked_loss(hidden, targets).item();
     ++batches;
   }
   return batches == 0 ? 0.0 : total / static_cast<double>(batches);

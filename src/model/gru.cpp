@@ -60,7 +60,7 @@ Tensor GruClassifier::forward(std::span<const int> ids, bool train) const {
   }
   Tensor pooled = h;
   pooled = nn::dropout(pooled, config_.dropout, train, rng_);
-  return nn::add(nn::matmul(pooled, out_w_.tensor), out_b_.tensor);
+  return nn::linear(pooled, out_w_.tensor, out_b_.tensor);
 }
 
 nn::ParameterList GruClassifier::parameters() const {

@@ -24,8 +24,19 @@ Tensor MlmHead::forward(const Tensor& hidden) const {
                              /*N=*/e.dim(0), /*rs=*/1, /*cs=*/e.dim(1),
                              decoder_bias_.tensor, decoder_packed_);
   }
-  return nn::add(nn::matmul(transformed, nn::transpose(tied_embeddings_)),
-                 decoder_bias_.tensor);
+  return nn::linear(transformed, nn::transpose(tied_embeddings_),
+                    decoder_bias_.tensor);
+}
+
+Tensor MlmHead::masked_loss(const Tensor& hidden,
+                            std::span<const int> targets) const {
+  std::vector<int> rows, row_targets;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    if (targets[i] < 0) continue;
+    rows.push_back(static_cast<int>(i));
+    row_targets.push_back(targets[i]);
+  }
+  return nn::cross_entropy(forward(nn::embedding(hidden, rows)), row_targets);
 }
 
 void MlmHead::prepack() const {

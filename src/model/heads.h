@@ -14,10 +14,23 @@ class MlmHead {
   MlmHead(const TransformerConfig& config, const nn::Tensor& tied_embeddings,
           Rng& rng);
 
-  /// hidden [B*T, D] -> logits [B*T, V]. In inference mode the tied
+  /// hidden [R, D] -> logits [R, V], row by row: any R rows of the
+  /// encoder's [B*T, D] output, such as only the masked ones (a row's
+  /// logits do not depend on the other rows). In inference mode the tied
   /// decoder runs on panels packed straight from the [V, D] embedding
   /// table (nn/packed.h), with no transposed weight copy.
   nn::Tensor forward(const nn::Tensor& hidden) const;
+
+  /// Masked-token loss: cross_entropy(forward(hidden), targets) with
+  /// targets < 0 ignored, computed on only the rows that carry a target.
+  /// Those rows are gathered in ascending order before the head (BERT's
+  /// gather_indexes). The loss and every gradient are bitwise those of
+  /// the full-row head: an ignored row's logit gradient is exactly +0, so
+  /// dropping the row drops only +0 terms from each gradient sum. With no
+  /// target the loss is 0.
+  nn::Tensor masked_loss(const nn::Tensor& hidden,
+                         std::span<const int> targets) const;
+
   void collect(nn::ParameterList& out) const;
 
   /// Eagerly packs the transform + tied-decoder weight panels.

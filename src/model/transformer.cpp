@@ -37,7 +37,7 @@ Tensor Linear::forward(const Tensor& x) const {
                              /*rs=*/w.dim(1), /*cs=*/1, bias_.tensor,
                              packed_);
   }
-  return nn::add(nn::matmul(x, weight_.tensor), bias_.tensor);
+  return nn::linear(x, weight_.tensor, bias_.tensor);
 }
 
 void Linear::collect(nn::ParameterList& out) const {

@@ -21,7 +21,7 @@
 //
 // Bits: the panels are exactly what nn::matmul's per-call pack_b would
 // build and the kernel and K order are unchanged, so packed_linear is
-// bitwise equal to nn::add(nn::matmul(x, W), bias).
+// bitwise equal to nn::linear(x, W, bias), the training route.
 //
 // Alignment: a panel row is kNR = 16 floats, one 64-byte AVX-512 load. The
 // fp32 panels are allocated 64-byte aligned so no such load straddles two

@@ -117,16 +117,18 @@ constexpr std::size_t kGemmParallelCutoff = std::size_t{1} << 15;
 /// of one (blocking) parallel_for, so there is no aliasing across calls.
 thread_local std::vector<float> t_pack_scratch;
 
-/// Full GEMM: packs op(B) into per-thread scratch, then runs gemm_packed.
+/// Full GEMM: packs op(B) into per-thread scratch, then runs gemm_packed
+/// (with its bias epilogue when `bias` is non-null).
 template <bool Accumulate>
 void gemm(std::size_t M, std::size_t N, std::size_t K, MatRef a, MatRef b,
-          float* c, bool allow_parallel) {
+          float* c, bool allow_parallel, const float* bias = nullptr) {
   if (M == 0 || N == 0 || K == 0) return;
   std::vector<float>& scratch = t_pack_scratch;
   const std::size_t packed_size = packed_b_size(K, N);
   if (scratch.size() < packed_size) scratch.resize(packed_size);
   pack_b(b, K, N, scratch.data());
-  gemm_packed(M, N, K, a, scratch.data(), c, Accumulate, allow_parallel);
+  gemm_packed(M, N, K, a, scratch.data(), c, Accumulate, allow_parallel,
+              bias);
 }
 
 /// row[j] = row[j] + bias[j]. Written four lanes at a time on
@@ -143,6 +145,34 @@ void add_bias_row(float* __restrict row, const float* __restrict bias,
     row[j + 3] = row[j + 3] + bias[j + 3];
   }
   for (; j < n; ++j) row[j] = row[j] + bias[j];
+}
+
+/// Column block of the serial column reductions: kColBlock local
+/// accumulators, a loop -O2 vectorizes.
+constexpr std::size_t kColBlock = 16;
+
+/// dst[c] += term(r, c) for c < cols, over rows r in ascending order. Each
+/// block of kColBlock columns reduces in local accumulators seeded from
+/// dst, so every column sees the same add sequence as the plain loop
+/// `for r: for c: dst[c] += term(r, c)`. Serial on purpose: the rows of a
+/// training step's bias/gain gradients are too few to pay for a pool
+/// hand-off, and a fixed order keeps the sums independent of threading.
+template <typename Term>
+void add_column_sums(std::size_t rows, std::size_t cols, float* dst,
+                     Term term) {
+  for (std::size_t c0 = 0; c0 < cols; c0 += kColBlock) {
+    const std::size_t width = std::min(kColBlock, cols - c0);
+    float acc[kColBlock];
+    std::copy_n(dst + c0, width, acc);
+    if (width == kColBlock) {
+      for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < kColBlock; ++c) acc[c] += term(r, c0 + c);
+    } else {
+      for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < width; ++c) acc[c] += term(r, c0 + c);
+    }
+    std::copy_n(acc, width, dst + c0);
+  }
 }
 
 /// Interprets a tensor as a batch of matrices: rank 2 = batch 1.
@@ -179,9 +209,11 @@ void pack_b(MatRef b, std::size_t K, std::size_t N, float* packed) {
     float* dst = packed + jp * K;
     for (std::size_t kk = 0; kk < K; ++kk) {
       const float* src = b.p + kk * b.rs + jp * b.cs;
-      std::size_t c = 0;
-      for (; c < nr; ++c) dst[c] = src[c * b.cs];
-      for (; c < kernels::kNR; ++c) dst[c] = 0.0f;
+      if (b.cs == 1)
+        std::copy_n(src, nr, dst);  // contiguous panel row
+      else
+        for (std::size_t c = 0; c < nr; ++c) dst[c] = src[c * b.cs];
+      std::fill(dst + nr, dst + kernels::kNR, 0.0f);
       dst += kernels::kNR;
     }
   }
@@ -385,18 +417,33 @@ MatmulDims matmul_dims(const Tensor& a, const Tensor& b) {
           std::move(out_shape)};
 }
 
-}  // namespace
+// One counter bump + (when collecting) two clock reads per GEMM call —
+// nothing per element. matmul and linear share the nn.matmul.* metrics.
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  MatmulDims d = matmul_dims(a, b);
-  // One counter bump + (when collecting) two clock reads per GEMM call —
-  // nothing per element, so the kernel stays within noise of PR 1.
+/// Counts one forward product of `flops` and times it into nn.matmul.ns.
+metrics::ScopedTimer time_forward_gemm(std::size_t flops) {
   static const auto c_calls = metrics::counter("nn.matmul.calls");
   static const auto c_flops = metrics::counter("nn.matmul.flops", "flop");
   static const auto h_time = metrics::histogram("nn.matmul.ns");
   c_calls.add();
-  c_flops.add(2 * d.batch * d.m * d.k * d.n);
-  metrics::ScopedTimer timer(h_time);
+  c_flops.add(flops);
+  return metrics::ScopedTimer(h_time);
+}
+
+/// Counts one backward pass and times it into nn.matmul.backward.ns.
+metrics::ScopedTimer time_backward_gemm() {
+  static const auto c_bwd = metrics::counter("nn.matmul.backward.calls");
+  static const auto h_bwd = metrics::histogram("nn.matmul.backward.ns");
+  c_bwd.add();
+  return metrics::ScopedTimer(h_bwd);
+}
+
+}  // namespace
+
+Tensor matmul(const Tensor& a, const Tensor& b) {
+  MatmulDims d = matmul_dims(a, b);
+  const metrics::ScopedTimer timer =
+      time_forward_gemm(2 * d.batch * d.m * d.k * d.n);
   auto node =
       make_node(std::move(d.out_shape), {a.node(), b.node()}, Init::kUninit);
 
@@ -427,10 +474,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 
   set_backward(node, [m, k, n, batch, batch_grain, shared_rhs](
                        TensorNode& self) {
-    static const auto c_bwd = metrics::counter("nn.matmul.backward.calls");
-    static const auto h_bwd = metrics::histogram("nn.matmul.backward.ns");
-    c_bwd.add();
-    metrics::ScopedTimer bwd_timer(h_bwd);
+    const metrics::ScopedTimer bwd_timer = time_backward_gemm();
     TensorNode& A = *self.parents[0];
     TensorNode& B = *self.parents[1];
     const float* gp = self.grad.data();
@@ -465,6 +509,46 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
             });
       }
     }
+  });
+  return Tensor(node);
+}
+
+Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b) {
+  const MatView xv = as_matrices(x.shape(), "linear input");
+  if (w.rank() != 2 || w.dim(0) != xv.cols || xv.cols == 0 ||
+      b.size() != w.dim(1))
+    fail("linear: expected x [.., K], w [K, N], b [N] with K > 0, got " +
+         shape_str(x.shape()) + ", " + shape_str(w.shape()) + ", " +
+         shape_str(b.shape()));
+  const std::size_t m = xv.batch * xv.rows, k = xv.cols, n = w.dim(1);
+  const metrics::ScopedTimer timer = time_forward_gemm(2 * m * k * n);
+  Shape out_shape = x.shape();
+  out_shape.back() = n;
+  auto node = make_node(std::move(out_shape), {x.node(), w.node(), b.node()},
+                        Init::kUninit);
+  // The bias epilogue is add()'s single rounding on each finished row.
+  gemm<false>(m, n, k, {x.data().data(), k, 1}, {w.data().data(), n, 1},
+              node->value.data(), /*allow_parallel=*/true, b.data().data());
+
+  set_backward(node, [m, k, n](TensorNode& self) {
+    const metrics::ScopedTimer bwd_timer = time_backward_gemm();
+    TensorNode& X = *self.parents[0];
+    TensorNode& W = *self.parents[1];
+    TensorNode& B = *self.parents[2];
+    const float* gp = self.grad.data();
+    // The same two products as matmul's backward: dX (m x k) += dC · Wᵀ,
+    // dW (k x n) += Xᵀ · dC.
+    if (X.requires_grad)
+      gemm<true>(m, k, n, {gp, n, 1}, {W.value.data(), 1, n}, X.grad.data(),
+                 true);
+    if (W.requires_grad)
+      gemm<true>(k, n, m, {X.value.data(), 1, k}, {gp, n, 1}, W.grad.data(),
+                 true);
+    if (B.requires_grad)
+      add_column_sums(m, n, B.grad.data(),
+                      [gp, n](std::size_t r, std::size_t c) {
+                        return gp[r * n + c];
+                      });
   });
   return Tensor(node);
 }
@@ -535,13 +619,10 @@ Tensor add_like(const Tensor& a, const Tensor& b, float sign) {
     }
     if (B.requires_grad) {
       if (broadcast) {
-        // All rows reduce into `last` slots; stays serial so the
-        // accumulation order is fixed (and race-free).
-        float* gb = B.grad.data();
-        for (std::size_t r = 0; r < an / last; ++r) {
-          const float* grow = g + r * last;
-          for (std::size_t j = 0; j < last; ++j) gb[j] += sign * grow[j];
-        }
+        add_column_sums(an / last, last, B.grad.data(),
+                        [g, last, sign](std::size_t r, std::size_t j) {
+                          return sign * g[r * last + j];
+                        });
       } else {
         float* gb = B.grad.data();
         parallel_elems(an, [=](std::size_t lo, std::size_t hi) {
@@ -904,21 +985,19 @@ Tensor layer_norm(const Tensor& a, const Tensor& gain, const Tensor& bias,
     const float* in0 = A.value.data();
     const float* gout0 = self.grad.data();
     const float* g = G.value.data();
-    // Gain/bias gradients reduce over all rows into `cols` slots: serial,
-    // fixed order (and race-free).
-    if (G.requires_grad || B.requires_grad) {
-      for (std::size_t r = 0; r < rows; ++r) {
-        const float mean = st[r * 2];
-        const float inv_std = st[r * 2 + 1];
-        const float* in = in0 + r * cols;
-        const float* gout = gout0 + r * cols;
-        for (std::size_t c = 0; c < cols; ++c) {
-          const float xhat = (in[c] - mean) * inv_std;
-          if (G.requires_grad) G.grad[c] += gout[c] * xhat;
-          if (B.requires_grad) B.grad[c] += gout[c];
-        }
-      }
-    }
+    // Gain/bias gradients reduce over all rows into `cols` slots.
+    if (G.requires_grad)
+      add_column_sums(rows, cols, G.grad.data(),
+                      [=](std::size_t r, std::size_t c) {
+                        const float xhat =
+                            (in0[r * cols + c] - st[r * 2]) * st[r * 2 + 1];
+                        return gout0[r * cols + c] * xhat;
+                      });
+    if (B.requires_grad)
+      add_column_sums(rows, cols, B.grad.data(),
+                      [=](std::size_t r, std::size_t c) {
+                        return gout0[r * cols + c];
+                      });
     // Input gradient is row-owned: parallel.
     if (A.requires_grad) {
       float* ga0 = A.grad.data();
@@ -995,9 +1074,10 @@ Tensor dropout(const Tensor& a, float p, bool train, Rng& rng) {
   if (p < 1.0f) {
     const auto threshold = static_cast<std::uint64_t>(
         std::ceil(static_cast<double>(p) * 0x1.0p53));
+    const float vals[2] = {0.0f, keep_scale};  // indexed by the keep test
     float* m = mask->data();
     for (std::size_t i = 0; i < n; ++i)
-      m[i] = (rng.next() >> 11) < threshold ? 0.0f : keep_scale;
+      m[i] = vals[(rng.next() >> 11) >= threshold];
   }
   auto node = make_node(a.shape(), {a.node()}, Init::kUninit);
   const float* ap = a.data().data();
@@ -1161,24 +1241,32 @@ Tensor swap_axes(const Tensor& a, const Shape& view, Shape out_shape) {
   const std::size_t outer = view[0], n1 = view[1], n2 = view[2],
                     inner = view[3];
   auto node = make_node(std::move(out_shape), {a.node()}, Init::kUninit);
-  // Run (o, i, j) of the input is run (o, j, i) of the output.
+  // Run (o, i, j) of the input is run (o, j, i) of the output. Each outer
+  // index owns a disjoint block of both, so it parallelizes over `o`.
+  const std::size_t block = n1 * n2 * inner;
   const float* in = a.data().data();
   float* out = node->value.data();
-  for (std::size_t o = 0; o < outer; ++o)
-    for (std::size_t j = 0; j < n2; ++j)
-      for (std::size_t i = 0; i < n1; ++i)
-        std::copy_n(in + ((o * n1 + i) * n2 + j) * inner, inner,
-                    out + ((o * n2 + j) * n1 + i) * inner);
-  set_backward(node, [outer, n1, n2, inner](TensorNode& self) {
+  parallel_rows(outer, block, [=](std::size_t lo, std::size_t hi) {
+    for (std::size_t o = lo; o < hi; ++o)
+      for (std::size_t j = 0; j < n2; ++j)
+        for (std::size_t i = 0; i < n1; ++i)
+          std::copy_n(in + ((o * n1 + i) * n2 + j) * inner, inner,
+                      out + ((o * n2 + j) * n1 + i) * inner);
+  });
+  set_backward(node, [outer, n1, n2, inner, block](TensorNode& self) {
     TensorNode& A = *self.parents[0];
     if (!A.requires_grad) return;
-    for (std::size_t o = 0; o < outer; ++o)
-      for (std::size_t j = 0; j < n2; ++j)
-        for (std::size_t i = 0; i < n1; ++i) {
-          const float* g = self.grad.data() + ((o * n2 + j) * n1 + i) * inner;
-          float* ga = A.grad.data() + ((o * n1 + i) * n2 + j) * inner;
-          for (std::size_t c = 0; c < inner; ++c) ga[c] += g[c];
-        }
+    const float* g0 = self.grad.data();
+    float* ga0 = A.grad.data();
+    parallel_rows(outer, block, [=](std::size_t lo, std::size_t hi) {
+      for (std::size_t o = lo; o < hi; ++o)
+        for (std::size_t j = 0; j < n2; ++j)
+          for (std::size_t i = 0; i < n1; ++i) {
+            const float* g = g0 + ((o * n2 + j) * n1 + i) * inner;
+            float* ga = ga0 + ((o * n1 + i) * n2 + j) * inner;
+            for (std::size_t c = 0; c < inner; ++c) ga[c] += g[c];
+          }
+    });
   });
   return Tensor(node);
 }

@@ -178,6 +178,12 @@ class Tensor {
 /// matmul_reference bit-for-bit at every thread count.
 Tensor matmul(const Tensor& a, const Tensor& b);
 
+/// Affine map x · w + b as one node: x [.., K] (rank 2 or 3), w [K, N],
+/// b [N] -> [.., N]. The value and every gradient are bitwise equal to
+/// add(matmul(x, w), b), with one output and one gradient buffer instead of
+/// two; b's gradient is a serial column sum in ascending row order.
+Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b);
+
 /// Naive triple-loop matmul with the same shape rules as matmul(). No
 /// autograd. Kept as the correctness oracle for the blocked kernel (tests)
 /// and the baseline for the kernel benchmarks.

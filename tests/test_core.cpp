@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <set>
 
 #include "core/fewshot.h"
 #include "core/netfm.h"
+#include "model/heads.h"
 
 namespace netfm::core {
 namespace {
@@ -167,6 +170,69 @@ TEST(NetFM, PretrainReducesMlmLoss) {
   EXPECT_EQ(log.losses.size(), 80u);
   const double after = fm.mlm_loss(corpus, 16);
   EXPECT_LT(after, before * 0.8);
+}
+
+TEST(NetFM, MaskedRowHeadMatchesFullHead) {
+  // Two identical encoder + head pairs (same seeds, dropout on) see the
+  // same batch; one runs the MLM head on every row with -1 targets, the
+  // other on the masked rows only. Loss and gradients must match bit for
+  // bit, including a batch whose targets are all -1.
+  auto config = model::TransformerConfig::tiny(40);
+  config.dropout = 0.1f;
+  const std::size_t batch_size = 3, seq_len = 12;
+  model::Batch batch;
+  batch.batch_size = batch_size;
+  batch.seq_len = seq_len;
+  Rng data_rng(17);
+  std::vector<int> masked_targets;
+  for (std::size_t b = 0; b < batch_size; ++b)
+    for (std::size_t t = 0; t < seq_len; ++t) {
+      const bool real = t < seq_len - 3 * b;  // later rows padded
+      batch.token_ids.push_back(
+          real ? 5 + static_cast<int>(data_rng.uniform(35)) : 0);
+      batch.segment_ids.push_back(0);
+      batch.attention_mask.push_back(real ? 1.0f : 0.0f);
+      masked_targets.push_back(real && data_rng.chance(0.3)
+                                   ? static_cast<int>(data_rng.uniform(40))
+                                   : -1);
+    }
+  const std::vector<int> no_targets(batch_size * seq_len, -1);
+
+  const auto bits = [](std::span<const float> values) {
+    std::vector<std::uint32_t> out;
+    for (float v : values) out.push_back(std::bit_cast<std::uint32_t>(v));
+    return out;
+  };
+  const auto run = [&](const std::vector<int>& targets, bool gathered) {
+    model::TransformerEncoder encoder(config);
+    Rng head_rng(config.seed + 1);
+    model::MlmHead head(config, encoder.token_embeddings(), head_rng);
+    nn::ParameterList params = encoder.parameters();
+    head.collect(params);
+    nn::zero_grad(params);
+    const nn::Tensor hidden = encoder.forward(batch, /*train=*/true);
+    nn::Tensor loss = gathered
+                          ? head.masked_loss(hidden, targets)
+                          : nn::cross_entropy(head.forward(hidden), targets);
+    loss.backward();
+    std::vector<std::vector<std::uint32_t>> out{bits(loss.data())};
+    for (const nn::Parameter& p : params) out.push_back(bits(p.tensor.grad()));
+    return out;
+  };
+  ASSERT_GT(std::count_if(masked_targets.begin(), masked_targets.end(),
+                          [](int t) { return t >= 0; }),
+            1);
+  const auto expect_same = [&](const std::vector<int>& targets) {
+    const auto full = run(targets, false);
+    const auto gathered = run(targets, true);
+    ASSERT_EQ(full.size(), gathered.size());
+    for (std::size_t i = 0; i < full.size(); ++i)
+      EXPECT_EQ(full[i], gathered[i]) << "entry " << i;
+  };
+  expect_same(masked_targets);
+  expect_same(no_targets);
+  EXPECT_EQ(run(no_targets, true)[0],
+            std::vector<std::uint32_t>{std::bit_cast<std::uint32_t>(0.0f)});
 }
 
 TEST(NetFM, PretrainStepsReuseFreedMemory) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -135,6 +137,73 @@ TEST(Autograd, MatmulGradientSharedRhs) {
   Tensor w = make_input({4, 5}, 7);
   check_gradients(a, [&] { return mean(matmul(a, w)); });
   check_gradients(w, [&] { return mean(matmul(a, w)); });
+}
+
+/// Bit patterns, so +0 and -0 (or two NaNs) never compare equal by value.
+std::vector<std::uint32_t> bits(std::span<const float> values) {
+  std::vector<std::uint32_t> out;
+  for (float v : values) out.push_back(std::bit_cast<std::uint32_t>(v));
+  return out;
+}
+
+TEST(Autograd, LinearMatchesMatmulPlusAdd) {
+  struct Run {
+    std::vector<std::uint32_t> value, dx, dw, db;
+  };
+  // loss = sum(out * up) (+ sum(b * up_b) when b is used twice): the
+  // upstream gradient of out is exactly `up`.
+  const auto run = [](const Shape& x_shape, std::size_t n, bool x_grad,
+                      bool reuse_b, bool fused) {
+    Tensor x = make_input(x_shape, 60);
+    x.set_requires_grad(x_grad);
+    Tensor w = make_input({x_shape.back(), n}, 61);
+    Tensor b = make_input({n}, 62);
+    Shape out_shape = x_shape;
+    out_shape.back() = n;
+    const Tensor up = make_input(out_shape, 63).detach();
+    const Tensor out = fused ? linear(x, w, b) : add(matmul(x, w), b);
+    Tensor loss = sum(mul(out, up));
+    if (reuse_b) loss = add(loss, sum(mul(b, make_input({n}, 64).detach())));
+    loss.backward();
+    return Run{bits(out.data()),
+               x_grad ? bits(x.grad()) : std::vector<std::uint32_t>{},
+               bits(w.grad()), bits(b.grad())};
+  };
+  const auto expect_same = [&](const Shape& x_shape, std::size_t n,
+                               bool x_grad, bool reuse_b) {
+    const Run fused = run(x_shape, n, x_grad, reuse_b, true);
+    const Run composed = run(x_shape, n, x_grad, reuse_b, false);
+    EXPECT_EQ(fused.value, composed.value) << shape_str(x_shape) << " N=" << n;
+    EXPECT_EQ(fused.dx, composed.dx) << shape_str(x_shape) << " N=" << n;
+    EXPECT_EQ(fused.dw, composed.dw) << shape_str(x_shape) << " N=" << n;
+    EXPECT_EQ(fused.db, composed.db) << shape_str(x_shape) << " N=" << n;
+    if (reuse_b) return;
+    // db is the plain column sum of `up`, rows in ascending order.
+    Shape out_shape = x_shape;
+    out_shape.back() = n;
+    const Tensor up = make_input(out_shape, 63);
+    std::vector<float> db(n, 0.0f);
+    for (std::size_t r = 0; r < up.size() / n; ++r)
+      for (std::size_t c = 0; c < n; ++c) db[c] += up.data()[r * n + c];
+    EXPECT_EQ(fused.db, bits(db)) << shape_str(x_shape) << " N=" << n;
+  };
+  for (std::size_t m : {1, 5, 7, 64})
+    for (std::size_t n : {1, 15, 16, 17, 48, 170})
+      expect_same({m, 13}, n, true, false);
+  expect_same({64, 13}, 170, true, true);    // b also used elsewhere
+  expect_same({3, 7, 13}, 48, true, false);  // rank-3 input, shared weight
+  expect_same({64, 13}, 170, false, false);  // frozen input: dW and db only
+  expect_same({0, 13}, 17, true, false);     // no rows
+
+  Tensor x = make_input({3, 2, 4}, 65);
+  Tensor w = make_input({4, 5}, 66);
+  Tensor b = make_input({5}, 67);
+  const auto loss = [&] { return mean(gelu(linear(x, w, b))); };
+  check_gradients(x, loss);
+  check_gradients(w, loss);
+  check_gradients(b, loss);
+  EXPECT_THROW(linear(x, make_input({5, 5}, 68), b), std::invalid_argument);
+  EXPECT_THROW(linear(x, w, make_input({4}, 69)), std::invalid_argument);
 }
 
 TEST(Autograd, AddSubMulGradients) {

@@ -129,8 +129,9 @@ TEST(ParallelMatmul, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelOps, ElementwiseAndRowOpsIdenticalAcrossThreadCounts) {
-  // The parallel_for-routed O(n) ops (add/unary/softmax/layer_norm) must
-  // also be chunking-independent. 70k elements clears the serial cutoff.
+  // The parallel_for-routed O(n) ops (add/unary/softmax/layer_norm/
+  // swap_axes) and linear must also be chunking-independent. 70k elements
+  // clears the serial cutoff; the axis swap splits into 9 row chunks.
   const Shape shape{70, 1000};
   auto run = [&](std::size_t threads) {
     ThreadPool::reset_global(threads);
@@ -138,12 +139,18 @@ TEST(ParallelOps, ElementwiseAndRowOpsIdenticalAcrossThreadCounts) {
     Tensor y = random_tensor(shape, 51, true);
     Tensor gain = random_tensor({1000}, 52, true);
     Tensor bias = random_tensor({1000}, 53, true);
+    Tensor w = random_tensor({1000, 170}, 54, true);
+    Tensor b = random_tensor({170}, 55, true);
     Tensor out = layer_norm(gelu(add(x, y)), gain, bias);
-    Tensor loss = mean(softmax(out));
+    Tensor swapped = swap_axes(out, {70, 10, 25, 4}, {70, 1000});
+    Tensor logits = linear(swapped, w, b);
+    Tensor loss = add(mean(softmax(out)), mean(softmax(logits)));
     loss.backward();
     std::vector<float> got(out.data().begin(), out.data().end());
-    got.insert(got.end(), x.grad().begin(), x.grad().end());
-    got.insert(got.end(), gain.grad().begin(), gain.grad().end());
+    for (const Tensor* t : {&swapped, &logits})
+      got.insert(got.end(), t->data().begin(), t->data().end());
+    for (const Tensor* t : {&x, &gain, &bias, &w, &b})
+      got.insert(got.end(), t->grad().begin(), t->grad().end());
     return got;
   };
   const auto one = run(1);
