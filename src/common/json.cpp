@@ -49,6 +49,9 @@ std::string number_to_string(double d) {
   return buf;
 }
 
+}  // namespace
+
+// Outside the anonymous namespace: Value befriends it to build Decimals.
 struct Parser {
   std::string_view text;
   std::size_t pos = 0;
@@ -113,7 +116,11 @@ struct Parser {
     char* end = nullptr;
     const double d = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) return std::nullopt;
-    return Value(d);
+    // strtod also takes what from_chars refuses (a leading '+', a value
+    // outside float's range); those keep the double's float.
+    float f = static_cast<float>(d);
+    std::from_chars(token.data(), token.data() + token.size(), f);
+    return Value(Value::Decimal{d, f});
   }
 
   std::optional<int> hex4() {
@@ -208,6 +215,8 @@ struct Parser {
   }
 };
 
+namespace {
+
 void dump_to(const Value& v, std::string& out, int indent, int depth);
 
 void newline_indent(std::string& out, int indent, int depth) {
@@ -223,6 +232,14 @@ void dump_to(const Value& v, std::string& out, int indent, int depth) {
     out += v.as_bool() ? "true" : "false";
   } else if (v.is_uint()) {
     out += std::to_string(*v.as_uint());
+  } else if (v.is_float()) {
+    const float f = *v.as_float();
+    if (!std::isfinite(f)) {
+      out += "null";
+    } else {
+      char buf[24];
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, f).ptr);
+    }
   } else if (v.is_number()) {
     out += number_to_string(v.as_number());
   } else if (v.is_string()) {
@@ -259,18 +276,27 @@ void dump_to(const Value& v, std::string& out, int indent, int depth) {
 double Value::as_number() const {
   if (const auto* u = std::get_if<std::uint64_t>(&v_))
     return static_cast<double>(*u);
+  if (const auto* f = std::get_if<float>(&v_)) return *f;
+  if (const auto* p = std::get_if<Decimal>(&v_)) return p->d;
   return std::get<double>(v_);
 }
 
 std::optional<std::uint64_t> Value::as_uint() const noexcept {
   if (const auto* u = std::get_if<std::uint64_t>(&v_)) return *u;
-  const auto* d = std::get_if<double>(&v_);
+  if (!is_number()) return std::nullopt;
+  const double d = as_number();
   // 2^64 is exact as a double; every integral double below it converts
   // exactly, and the range check keeps the cast defined.
-  if (d == nullptr || !(*d >= 0.0) || *d >= 18446744073709551616.0 ||
-      *d != std::floor(*d))
+  if (!(d >= 0.0) || d >= 18446744073709551616.0 || d != std::floor(d))
     return std::nullopt;
-  return static_cast<std::uint64_t>(*d);
+  return static_cast<std::uint64_t>(d);
+}
+
+std::optional<float> Value::as_float() const noexcept {
+  if (const auto* f = std::get_if<float>(&v_)) return *f;
+  if (const auto* p = std::get_if<Decimal>(&v_)) return p->f;
+  if (!is_number()) return std::nullopt;
+  return static_cast<float>(as_number());
 }
 
 const Value* Value::find(std::string_view key) const {

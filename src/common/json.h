@@ -5,7 +5,9 @@
 //
 // Not a general-purpose JSON library: numbers are doubles (integral values
 // within 2^53 print without a fraction), except that unsigned integer
-// literals and std::uint64_t values are carried exactly up to 2^64 - 1;
+// literals and std::uint64_t values are carried exactly up to 2^64 - 1,
+// and float values print in their shortest exact form and read back bit
+// for bit through as_float();
 // \uXXXX escapes decode the BMP plus surrogate pairs, and there is no
 // streaming — documents are strings.
 #pragma once
@@ -21,6 +23,7 @@
 namespace netfm::json {
 
 class Value;
+struct Parser;
 
 using Array = std::vector<Value>;
 /// Insertion-ordered object; lookup is linear (documents here are small).
@@ -32,6 +35,9 @@ class Value {
   Value(std::nullptr_t) : v_(nullptr) {}
   Value(bool b) : v_(b) {}
   Value(double d) : v_(d) {}
+  /// Prints in the shortest form that reads back as the same float
+  /// (std::to_chars), not as %.17g of the widened double.
+  Value(float f) : v_(f) {}
   Value(int i) : v_(static_cast<double>(i)) {}
   Value(std::int64_t i) : v_(static_cast<double>(i)) {}
   Value(std::uint64_t u) : v_(u) {}
@@ -44,11 +50,15 @@ class Value {
   bool is_bool() const noexcept { return std::holds_alternative<bool>(v_); }
   bool is_number() const noexcept {
     return std::holds_alternative<double>(v_) ||
-           std::holds_alternative<std::uint64_t>(v_);
+           std::holds_alternative<float>(v_) ||
+           std::holds_alternative<std::uint64_t>(v_) ||
+           std::holds_alternative<Decimal>(v_);
   }
   /// A number carried as an exact unsigned integer (a digits-only literal
   /// up to 2^64 - 1, or a std::uint64_t value).
   bool is_uint() const noexcept { return std::holds_alternative<std::uint64_t>(v_); }
+  /// A number built by Value(float), printed in float's shortest form.
+  bool is_float() const noexcept { return std::holds_alternative<float>(v_); }
   bool is_string() const noexcept { return std::holds_alternative<std::string>(v_); }
   bool is_array() const noexcept { return std::holds_alternative<Array>(v_); }
   bool is_object() const noexcept { return std::holds_alternative<Object>(v_); }
@@ -59,6 +69,10 @@ class Value {
   /// literal as written, or an integral double in [0, 2^64). nullopt for
   /// non-numbers and for negative, fractional or out-of-range values.
   std::optional<std::uint64_t> as_uint() const noexcept;
+  /// The number as a float. A parsed literal is read straight into float
+  /// (std::from_chars, one rounding), not through a double, so whatever
+  /// Value(float) printed reads back bit for bit. nullopt for non-numbers.
+  std::optional<float> as_float() const noexcept;
   const std::string& as_string() const { return std::get<std::string>(v_); }
   const Array& as_array() const { return std::get<Array>(v_); }
   Array& as_array() { return std::get<Array>(v_); }
@@ -76,8 +90,17 @@ class Value {
   static std::optional<Value> parse(std::string_view text);
 
  private:
-  std::variant<std::nullptr_t, bool, double, std::uint64_t, std::string,
-               Array, Object>
+  /// A parsed non-integer literal, read at both widths: rounding it to
+  /// float through the double could round twice.
+  struct Decimal {
+    double d;
+    float f;
+  };
+  Value(Decimal d) : v_(d) {}
+  friend struct Parser;
+
+  std::variant<std::nullptr_t, bool, double, float, std::uint64_t, Decimal,
+               std::string, Array, Object>
       v_;
 };
 

@@ -1,5 +1,6 @@
 #include "core/data.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace netfm::core {
@@ -20,6 +21,21 @@ Encoded encode_context(const std::vector<std::string>& tokens,
   for (std::size_t i = 0; i < out.ids.size(); ++i) out.mask[i] = 1.0f;
   out.ids.resize(max_len, tok::Vocabulary::kPad);
   out.segments.assign(max_len, 0);
+  return out;
+}
+
+std::vector<Encoded> encode_to_longest(
+    std::span<const std::vector<std::string>> contexts,
+    const tok::Vocabulary& vocab, std::size_t max_len) {
+  std::size_t longest = 0;
+  for (const auto& tokens : contexts)
+    longest = std::max(longest, tokens.size());
+  const std::size_t len =
+      std::min(max_len, std::max<std::size_t>(longest + 2, 3));
+  std::vector<Encoded> out;
+  out.reserve(contexts.size());
+  for (const auto& tokens : contexts)
+    out.push_back(encode_context(tokens, vocab, len));
   return out;
 }
 

@@ -3,6 +3,7 @@
 // and segment-pair encoding for next-packet prediction.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,19 @@ struct Encoded {
 /// Encodes a single context. Truncates to fit `max_len` (>= 3).
 Encoded encode_context(const std::vector<std::string>& tokens,
                        const tok::Vocabulary& vocab, std::size_t max_len);
+
+/// Encodes the contexts of one no-grad batch at min(max_len, longest
+/// context + 2) positions rather than max_len: the shortest length that
+/// frames every context as encode_context(tokens, vocab, max_len) would,
+/// minus trailing padding (never below encode_context's floor of 3). A
+/// no-grad forward gives each real position the same bits at either
+/// length — padding sits at the end, a masked key adds an exact-zero
+/// attention weight, and every other op works row by row — so this only
+/// drops work. Training batches keep max_len: their dropout draws over
+/// [B*T, D] depend on T.
+std::vector<Encoded> encode_to_longest(
+    std::span<const std::vector<std::string>> contexts,
+    const tok::Vocabulary& vocab, std::size_t max_len);
 
 /// Encodes a segment pair: [CLS] a [SEP] b [SEP], segments 0/1.
 Encoded encode_pair(const std::vector<std::string>& first,

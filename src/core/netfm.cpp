@@ -273,13 +273,15 @@ double NetFM::mlm_loss(const std::vector<std::vector<std::string>>& corpus,
   std::size_t batches = 0;
   constexpr std::size_t kBatch = 8;
   for (std::size_t at = 0; at < corpus.size(); at += kBatch) {
-    std::vector<Encoded> items;
+    // apply_mlm_mask never draws for padding, so the trimmed batch sees
+    // the same RNG stream as a window-padded one.
+    std::vector<Encoded> items = encode_to_longest(
+        std::span(corpus).subspan(at, std::min(kBatch, corpus.size() - at)),
+        vocab_, seq_len);
     std::vector<int> targets;
-    for (std::size_t i = at; i < std::min(corpus.size(), at + kBatch); ++i) {
-      Encoded item = encode_context(corpus[i], vocab_, seq_len);
+    for (Encoded& item : items) {
       const auto t = apply_mlm_mask(item.ids, vocab_, rng, 0.15);
       targets.insert(targets.end(), t.begin(), t.end());
-      items.push_back(std::move(item));
     }
     const Batch batch = make_batch(items);
     const Tensor hidden = encoder_->forward(batch, /*train=*/false);
@@ -417,8 +419,8 @@ std::vector<float> NetFM::predict_logits(
     throw std::logic_error("NetFM::predict_logits: call fine_tune() first");
   const std::size_t seq_len =
       std::min(max_seq_len, encoder_->config().max_seq_len);
-  const Encoded item = encode_context(context, vocab_, seq_len);
-  const Batch batch = make_batch(std::span<const Encoded>(&item, 1));
+  const Batch batch =
+      make_batch(encode_to_longest({&context, 1}, vocab_, seq_len));
   const nn::InferenceGuard guard;
   const Tensor logits =
       classifier_->forward(forward_pooled(batch, /*train=*/false));
@@ -451,15 +453,12 @@ std::vector<std::vector<float>> NetFM::embed_flows(
   if (contexts.empty()) return {};
   const std::size_t seq_len =
       std::min(max_seq_len, encoder_->config().max_seq_len);
-  std::vector<Encoded> items;
-  items.reserve(contexts.size());
-  for (const auto& context : contexts)
-    items.push_back(encode_context(context, vocab_, seq_len));
-  // encode_context pads every item to seq_len, and the forward computes
-  // each sequence's rows independently of its batch neighbours (padding is
-  // masked to an exact zero attention weight) — so one batched pass
-  // produces the same floats as a per-flow loop.
-  const Batch batch = make_batch(items);
+  // The batch runs at its longest flow's length, not seq_len, and the
+  // forward computes each sequence's real rows independently of its batch
+  // neighbours and of trailing padding (padding is masked to an exact zero
+  // attention weight) — so one batched pass produces the same floats as a
+  // per-flow loop, and as a pass padded to seq_len.
+  const Batch batch = make_batch(encode_to_longest(contexts, vocab_, seq_len));
   const nn::InferenceGuard guard;
   const Tensor hidden = encoder_->forward(batch, /*train=*/false);
 

@@ -148,11 +148,12 @@ class NetFM {
   std::vector<float> embed(const std::vector<std::string>& context,
                            std::size_t max_seq_len) const;
 
-  /// embed() for many flows at once: pads every context to the same length
-  /// (as encode_context already does) and runs them through one batched
-  /// no-grad forward instead of one forward per flow. Each row is computed
-  /// independently of its batch neighbours, so element i is bitwise equal
-  /// to embed(contexts[i]), the B=1 case.
+  /// embed() for many flows at once: pads every context to the longest
+  /// one's length (encode_to_longest, capped at max_seq_len) and runs them
+  /// through one batched no-grad forward instead of one forward per flow.
+  /// Each row is computed independently of its batch neighbours and of
+  /// trailing padding, so element i is bitwise equal to
+  /// embed(contexts[i]), the B=1 case.
   std::vector<std::vector<float>> embed_flows(
       std::span<const std::vector<std::string>> contexts,
       std::size_t max_seq_len) const;

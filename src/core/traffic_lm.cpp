@@ -185,13 +185,13 @@ double TrafficLM::loss(const std::vector<std::vector<std::string>>& corpus,
   std::size_t total_targets = 0;
   constexpr std::size_t kBatch = 8;
   for (std::size_t at = 0; at < corpus.size(); at += kBatch) {
-    std::vector<Encoded> items;
+    const std::vector<Encoded> items = encode_to_longest(
+        std::span(corpus).subspan(at, std::min(kBatch, corpus.size() - at)),
+        vocab_, seq_len);
     std::vector<int> targets;
-    for (std::size_t i = at; i < std::min(corpus.size(), at + kBatch); ++i) {
-      Encoded item = encode_context(corpus[i], vocab_, seq_len);
+    for (const Encoded& item : items) {
       const auto t = next_token_targets(item);
       targets.insert(targets.end(), t.begin(), t.end());
-      items.push_back(std::move(item));
     }
     const std::size_t active = static_cast<std::size_t>(
         std::count_if(targets.begin(), targets.end(),

@@ -32,7 +32,8 @@ std::vector<TokenAttribution> occlusion_saliency(
 std::vector<TokenAttribution> attention_rollout(
     const core::NetFM& model, const std::vector<std::string>& context,
     std::size_t max_seq_len) {
-  // The sequence embed() would run: one context, padded to seq_len.
+  // One context padded to seq_len, the [seq_len, seq_len] maps the
+  // rollout multiplies (embed() runs the same real rows, unpadded).
   const std::size_t seq_len =
       std::min(max_seq_len, model.config().max_seq_len);
   const core::Encoded item =

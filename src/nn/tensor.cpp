@@ -1285,6 +1285,11 @@ Tensor cross_entropy(const Tensor& logits, std::span<const int> targets) {
   double total = 0.0;
   std::size_t active = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    // An ignored position needs no softmax: the backward skips its row too.
+    const int t = (*tgt)[i];
+    if (t < 0) continue;
+    check(static_cast<std::size_t>(t) < classes,
+          "cross_entropy: target out of range");
     const float* in = logits.data().data() + i * classes;
     float* p = probs->data() + i * classes;
     float maxv = in[0];
@@ -1295,10 +1300,6 @@ Tensor cross_entropy(const Tensor& logits, std::span<const int> targets) {
       denom += p[c];
     }
     for (std::size_t c = 0; c < classes; ++c) p[c] /= denom;
-    const int t = (*tgt)[i];
-    if (t < 0) continue;  // ignored position
-    check(static_cast<std::size_t>(t) < classes,
-          "cross_entropy: target out of range");
     total += -std::log(std::max(p[t], 1e-12f));
     ++active;
   }

@@ -44,8 +44,7 @@ std::optional<std::vector<std::string>> string_array(const json::Value& v) {
 json::Array float_array(std::span<const float> values) {
   json::Array out;
   out.reserve(values.size());
-  for (const float v : values)
-    out.emplace_back(static_cast<double>(v));
+  for (const float v : values) out.emplace_back(v);
   return out;
 }
 
@@ -285,8 +284,9 @@ std::optional<Reply> parse_reply(std::string_view body, Op op) {
       auto& out = op == Op::kNextLogits ? reply.logits : reply.embedding;
       out.reserve(values->as_array().size());
       for (const json::Value& v : values->as_array()) {
-        if (!v.is_number()) return std::nullopt;
-        out.push_back(static_cast<float>(v.as_number()));
+        const std::optional<float> f = v.as_float();
+        if (!f) return std::nullopt;
+        out.push_back(*f);
       }
       break;
     }

@@ -449,7 +449,7 @@ void Scheduler::run_tick(std::vector<Pending>& batch) {
                 replies[group[g]].logits = std::move(logits[g]);
             });
 
-  // One padded forward per pooling window for the embed requests.
+  // One forward per pooling window for the embed requests.
   std::vector<std::size_t> embed_index = pending_ops(Op::kEmbed);
   if (fm_ == nullptr) {
     for (const std::size_t i : embed_index)

@@ -10,8 +10,8 @@
 //   next_logits  -> one padded no-grad forward for the whole group
 //                   (TrafficLM::next_logits_batch — bitwise identical to
 //                   per-request calls)
-//   embed        -> one padded forward per pooling window via
-//                   NetFM::embed_flows
+//   embed        -> one forward per pooling window via
+//                   NetFM::embed_flows, at the longest flow's length
 //   score        -> lockstep TrafficLM::score_batch, one fresh KV-cached
 //                   decoder per request
 //   generate     -> seeded TrafficLM::sample_batch, likewise

@@ -8,6 +8,8 @@
 // `infer` ctest label, which the CI concurrency lane also runs under TSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -314,14 +316,20 @@ TEST(EmbedFlows, BitwiseEqualsPerFlowLoop) {
       {"udp", "p53", "dns_query", "dns_resp"},
       {"tcp", "p443", "fl_S", "fl_SA", "dir_up", "dir_dn"},
   };
+  // The batch runs at its longest flow's 8 positions and each single flow
+  // at its own: window 4 truncates, 8 fits the longest flow exactly, and
+  // 16 and 24 leave padding that neither route computes.
   with_thread_counts([&] {
-    const auto batched = fm.embed_flows(flows, 16);
-    ASSERT_EQ(batched.size(), flows.size());
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      const std::vector<float> single = fm.embed(flows[f], 16);
-      ASSERT_EQ(batched[f].size(), single.size());
-      for (std::size_t d = 0; d < single.size(); ++d)
-        ASSERT_EQ(batched[f][d], single[d]) << "flow " << f << " dim " << d;
+    for (const std::size_t window : {4, 8, 16, 24}) {
+      const auto batched = fm.embed_flows(flows, window);
+      ASSERT_EQ(batched.size(), flows.size());
+      for (std::size_t f = 0; f < flows.size(); ++f) {
+        const std::vector<float> single = fm.embed(flows[f], window);
+        ASSERT_EQ(batched[f].size(), single.size());
+        for (std::size_t d = 0; d < single.size(); ++d)
+          ASSERT_EQ(batched[f][d], single[d])
+              << "window " << window << " flow " << f << " dim " << d;
+      }
     }
   });
   EXPECT_TRUE(fm.embed_flows({}, 16).empty());
@@ -814,6 +822,254 @@ TEST(PackedWeights, OptimizerStepAndCheckpointLoadBumpEpoch) {
   const auto blob = nn::save_parameters(params);
   ASSERT_TRUE(nn::load_parameters(blob, params));
   EXPECT_GT(nn::weight_epoch(), e1);
+}
+
+// ---- No-grad batches at their longest real length ------------------------
+//
+// Each oracle below runs a no-grad call on the window-padded route:
+// encode_context at the full window, make_batch, then one encoder forward
+// under InferenceGuard. The heads they need are rebuilt from the model's
+// parameters by name.
+
+/// Copies each parameter of `from` into the same-named one of `to`.
+void copy_parameters(const nn::ParameterList& from, nn::ParameterList to) {
+  for (nn::Parameter& dst : to) {
+    const auto src = std::find_if(
+        from.begin(), from.end(),
+        [&](const nn::Parameter& p) { return p.name == dst.name; });
+    ASSERT_NE(src, from.end()) << dst.name;
+    ASSERT_EQ(src->tensor.size(), dst.tensor.size()) << dst.name;
+    std::copy(src->tensor.data().begin(), src->tensor.data().end(),
+              dst.tensor.data().begin());
+  }
+}
+
+/// Every context encoded at the window (capped at max_seq_len).
+std::vector<core::Encoded> padded_items(
+    std::span<const std::vector<std::string>> contexts,
+    const tok::Vocabulary& vocab, const model::TransformerConfig& config,
+    std::size_t window) {
+  std::vector<core::Encoded> items;
+  for (const auto& context : contexts)
+    items.push_back(core::encode_context(
+        context, vocab, std::min(window, config.max_seq_len)));
+  return items;
+}
+
+/// One batch of at most 8 contexts from `at`, as the loss loops cut them.
+std::span<const std::vector<std::string>> batch_at(
+    const std::vector<std::vector<std::string>>& corpus, std::size_t at) {
+  return std::span(corpus).subspan(
+      at, std::min<std::size_t>(8, corpus.size() - at));
+}
+
+std::vector<std::vector<float>> padded_embed_flows(
+    const core::NetFM& fm, std::span<const std::vector<std::string>> contexts,
+    std::size_t window) {
+  const model::Batch batch =
+      core::make_batch(padded_items(contexts, fm.vocab(), fm.config(), window));
+  const nn::InferenceGuard guard;
+  const Tensor hidden = fm.encoder().forward(batch, /*train=*/false);
+  const std::size_t d_model = fm.config().d_model, t_len = batch.seq_len;
+  std::vector<std::vector<float>> out(contexts.size());
+  for (std::size_t b = 0; b < contexts.size(); ++b) {
+    out[b].assign(d_model, 0.0f);
+    float count = 0.0f;
+    for (std::size_t t = 0; t < t_len; ++t) {
+      if (batch.attention_mask[b * t_len + t] == 0.0f) continue;
+      for (std::size_t d = 0; d < d_model; ++d)
+        out[b][d] += hidden.data()[(b * t_len + t) * d_model + d];
+      count += 1.0f;
+    }
+    for (float& v : out[b]) v /= count;
+  }
+  return out;
+}
+
+/// NetFM's MLM, pooler and classifier heads, copied from its parameters.
+struct NetFMHeads {
+  NetFMHeads(const core::NetFM& fm, std::size_t num_classes)
+      : rng(1),
+        mlm(fm.config(), fm.encoder().token_embeddings(), rng),
+        pooler(fm.config().d_model, rng),
+        classifier(fm.config().d_model, num_classes, rng) {
+    nn::ParameterList mine;
+    mlm.collect(mine);
+    pooler.collect(mine);
+    classifier.collect(mine);
+    copy_parameters(fm.parameters(), mine);
+  }
+  Rng rng;
+  model::MlmHead mlm;
+  model::Pooler pooler;
+  model::ClassificationHead classifier;
+};
+
+std::vector<float> padded_predict_logits(
+    const core::NetFM& fm, const NetFMHeads& heads,
+    const std::vector<std::string>& context, std::size_t window) {
+  const model::Batch batch = core::make_batch(
+      padded_items({&context, 1}, fm.vocab(), fm.config(), window));
+  const nn::InferenceGuard guard;
+  const Tensor hidden = fm.encoder().forward(batch, /*train=*/false);
+  const Tensor logits = heads.classifier.forward(
+      heads.pooler.forward(hidden, batch.batch_size, batch.seq_len));
+  return {logits.data().begin(), logits.data().end()};
+}
+
+double padded_mlm_loss(const core::NetFM& fm, const NetFMHeads& heads,
+                       const std::vector<std::vector<std::string>>& corpus,
+                       std::size_t window, std::uint64_t seed) {
+  Rng rng(seed);
+  const nn::InferenceGuard guard;
+  double total = 0.0;
+  std::size_t batches = 0;
+  for (std::size_t at = 0; at < corpus.size(); at += 8) {
+    std::vector<core::Encoded> items =
+        padded_items(batch_at(corpus, at), fm.vocab(), fm.config(), window);
+    std::vector<int> targets;
+    for (core::Encoded& item : items) {
+      const auto t = core::apply_mlm_mask(item.ids, fm.vocab(), rng, 0.15);
+      targets.insert(targets.end(), t.begin(), t.end());
+    }
+    const Tensor hidden =
+        fm.encoder().forward(core::make_batch(items), /*train=*/false);
+    total += heads.mlm.masked_loss(hidden, targets).item();
+    ++batches;
+  }
+  return total / static_cast<double>(batches);
+}
+
+/// TrafficLM's encoder and tied head, copied from its parameters.
+struct LmReplica {
+  LmReplica(const core::TrafficLM& lm, model::TransformerConfig config)
+      : encoder(causal(config, lm.vocab().size())),
+        head_rng(config.seed + 3),
+        head(encoder.config(), encoder.token_embeddings(), head_rng) {
+    nn::ParameterList mine = encoder.parameters();
+    head.collect(mine);
+    copy_parameters(lm.parameters(), mine);
+  }
+  static model::TransformerConfig causal(model::TransformerConfig config,
+                                         std::size_t vocab) {
+    config.vocab_size = vocab;
+    config.causal = true;
+    return config;
+  }
+  model::TransformerEncoder encoder;
+  Rng head_rng;
+  model::MlmHead head;
+};
+
+double padded_lm_loss(const LmReplica& lm, const tok::Vocabulary& vocab,
+                      const std::vector<std::vector<std::string>>& corpus,
+                      std::size_t window) {
+  const nn::InferenceGuard guard;
+  double total = 0.0;
+  std::size_t total_targets = 0;
+  for (std::size_t at = 0; at < corpus.size(); at += 8) {
+    const std::vector<core::Encoded> items =
+        padded_items(batch_at(corpus, at), vocab, lm.encoder.config(), window);
+    std::vector<int> targets;
+    for (const core::Encoded& item : items)
+      for (std::size_t t = 0; t < item.ids.size(); ++t)
+        targets.push_back(t + 1 < item.ids.size() && item.mask[t] != 0.0f &&
+                                  item.mask[t + 1] != 0.0f
+                              ? item.ids[t + 1]
+                              : -1);
+    const auto active = static_cast<std::size_t>(std::count_if(
+        targets.begin(), targets.end(), [](int t) { return t >= 0; }));
+    if (active == 0) continue;
+    const Tensor hidden =
+        lm.encoder.forward(core::make_batch(items), /*train=*/false);
+    total += nn::cross_entropy(lm.head.forward(hidden), targets).item() *
+             static_cast<double>(active);
+    total_targets += active;
+  }
+  return total / static_cast<double>(total_targets);
+}
+
+void expect_bitwise(std::span<const float> got, std::span<const float> want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << what << " element " << i;
+}
+
+TEST(NoGradBatches, LongestRealLengthBitwiseEqualsPaddedWindow) {
+  const tok::Vocabulary vocab = tiny_vocab();
+  const auto config = tiny_config(vocab.size());  // max_seq_len 24
+  core::NetFM fm(vocab, config);
+
+  const std::vector<std::string> flow = {"tcp", "p80", "d_www"};
+  std::vector<std::string> neighbour;  // fills every window
+  for (std::size_t i = 0; i < 2 * config.max_seq_len; ++i)
+    neighbour.push_back(vocab.token(static_cast<int>(
+        tok::Vocabulary::kNumSpecial + i % (vocab.size() -
+                                            tok::Vocabulary::kNumSpecial))));
+  const std::vector<std::vector<std::vector<std::string>>> batches = {
+      {flow}, {flow, neighbour}, {neighbour, flow},
+      {std::vector<std::string>{}}};
+  // A corpus of ragged lengths: one short flow alone in its final batch of
+  // 8, the empty context at encode_context's 3-position floor.
+  std::vector<std::vector<std::string>> corpus;
+  for (std::size_t i = 0; i < 9; ++i)
+    corpus.emplace_back(neighbour.begin(),
+                        neighbour.begin() +
+                            static_cast<std::ptrdiff_t>((i * 7) % 30));
+  corpus.push_back(flow);
+
+  core::FineTuneOptions fine;
+  fine.epochs = 1;
+  fine.batch_size = 2;
+  fine.max_seq_len = config.max_seq_len;
+  const std::vector<int> labels = {0, 1};
+  fm.fine_tune({flow, neighbour}, labels, 2, fine);
+  const NetFMHeads heads(fm, 2);
+
+  core::TrafficLM lm(vocab, config);
+  core::LmTrainOptions lm_options;
+  lm_options.steps = 2;
+  lm_options.batch_size = 2;
+  lm_options.max_seq_len = config.max_seq_len;
+  lm.train(corpus, lm_options);
+  const LmReplica lm_replica(lm, config);
+
+  // Windows below, at and above the short flow's 5 positions and the
+  // neighbour's 24; 64 clamps to max_seq_len.
+  with_thread_counts([&] {
+    for (const std::size_t window : {4, 5, 12, 24, 64}) {
+      const std::string at = "window " + std::to_string(window);
+      for (std::size_t b = 0; b < batches.size(); ++b) {
+        const auto got = fm.embed_flows(batches[b], window);
+        const auto want = padded_embed_flows(fm, batches[b], window);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t f = 0; f < want.size(); ++f) {
+          const std::string what = at + " batch " + std::to_string(b) +
+                                   " flow " + std::to_string(f);
+          expect_bitwise(got[f], want[f], "embed_flows " + what);
+          expect_bitwise(fm.embed(batches[b][f], window), want[f],
+                         "embed " + what);
+          expect_bitwise(
+              fm.predict_logits(batches[b][f], window),
+              padded_predict_logits(fm, heads, batches[b][f], window),
+              "predict_logits " + what);
+        }
+      }
+      const double mlm = fm.mlm_loss(corpus, window, 7);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(mlm),
+                std::bit_cast<std::uint64_t>(
+                    padded_mlm_loss(fm, heads, corpus, window, 7)))
+          << at << " mlm_loss " << mlm;
+      const double lm_loss = lm.loss(corpus, window);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(lm_loss),
+                std::bit_cast<std::uint64_t>(
+                    padded_lm_loss(lm_replica, vocab, corpus, window)))
+          << at << " TrafficLM::loss " << lm_loss;
+    }
+  });
 }
 
 }  // namespace

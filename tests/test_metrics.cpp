@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -241,6 +242,21 @@ TEST(JsonTest, ParseHandlesEscapes) {
 TEST(JsonTest, NonFiniteNumbersEmitNull) {
   EXPECT_EQ(json::Value(std::nan("")).dump(), "null");
   EXPECT_EQ(json::Value(1e308 * 10).dump(), "null");
+}
+
+TEST(JsonTest, FloatsPrintShortestAndParsedLiteralsKeepBothWidths) {
+  EXPECT_EQ(json::Value(0.1f).dump(), "0.1");
+  EXPECT_EQ(json::Value(std::nanf("")).dump(), "null");
+  const auto v = json::Value::parse("[0.1,3,1e39,-0]");
+  ASSERT_TRUE(v.has_value());
+  const json::Array& a = v->as_array();
+  // A literal reads at double width for as_number and float for as_float.
+  EXPECT_EQ(a[0].as_number(), 0.1);
+  EXPECT_EQ(*a[0].as_float(), 0.1f);
+  EXPECT_EQ(*a[1].as_float(), 3.0f);
+  EXPECT_EQ(*a[2].as_float(), std::numeric_limits<float>::infinity());
+  EXPECT_TRUE(std::signbit(*a[3].as_float()));
+  EXPECT_FALSE(json::Value("0.1").as_float().has_value());
 }
 
 TEST_F(MetricsTest, WorkspaceGaugeTracksCapacityNotSize) {

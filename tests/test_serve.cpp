@@ -14,7 +14,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <future>
 #include <thread>
 #include <vector>
@@ -193,6 +196,56 @@ TEST(Protocol, ReplyFloatsRoundTripBitwise) {
   ASSERT_TRUE(rejected.has_value());
   EXPECT_EQ(rejected->status, serve::Reply::Status::kRejected);
   EXPECT_EQ(rejected->reject, serve::RejectReason::kQueueFull);
+}
+
+TEST(Protocol, ReplyFloatsShortestFormRoundTrip) {
+  // Edge values, then 10^5 seeded random bit patterns (non-finite ones
+  // skipped: they print as null, which parse_reply refuses).
+  std::vector<float> values = {
+      0.0f,
+      -0.0f,
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      std::bit_cast<float>(0x007fffffu),  // largest subnormal
+      std::numeric_limits<float>::min(),
+      -std::numeric_limits<float>::min(),
+      std::numeric_limits<float>::max(),
+      std::numeric_limits<float>::lowest(),
+      1.0f / 3.0f,
+      -1.0f / 3.0f};
+  Rng rng(2718);
+  while (values.size() < 100011) {
+    const float f =
+        std::bit_cast<float>(static_cast<std::uint32_t>(rng.next()));
+    if (std::isfinite(f)) values.push_back(f);
+  }
+  for (const serve::Op op : {serve::Op::kNextLogits, serve::Op::kEmbed}) {
+    serve::Reply reply;
+    (op == serve::Op::kNextLogits ? reply.logits : reply.embedding) = values;
+    const std::string body = serve::reply_to_json(reply, op);
+    const auto parsed = serve::parse_reply(body, op);
+    ASSERT_TRUE(parsed.has_value()) << serve::op_name(op);
+    const auto& got =
+        op == serve::Op::kNextLogits ? parsed->logits : parsed->embedding;
+    ASSERT_EQ(got.size(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                std::bit_cast<std::uint32_t>(values[i]))
+          << serve::op_name(op) << " value " << i << " = " << values[i];
+  }
+
+  // Shortest form, not %.17g of the widened double.
+  serve::Reply reply;
+  reply.logits = {1.0f / 3.0f, -0.0f, 0.1f, 1e20f};
+  EXPECT_EQ(serve::reply_to_json(reply, serve::Op::kNextLogits),
+            "{\"ok\":true,\"logits\":[0.33333334,-0,0.1,1e+20]}");
+
+  // Non-finite values still print as null, which the parser refuses.
+  reply.logits = {1.0f, std::numeric_limits<float>::quiet_NaN(),
+                  std::numeric_limits<float>::infinity()};
+  const std::string body = serve::reply_to_json(reply, serve::Op::kNextLogits);
+  EXPECT_EQ(body, "{\"ok\":true,\"logits\":[1,null,null]}");
+  EXPECT_FALSE(serve::parse_reply(body, serve::Op::kNextLogits).has_value());
 }
 
 TEST(Protocol, HttpHeadParsesDeadlineHeader) {
