@@ -1,5 +1,6 @@
 // M4 — neural-engine microbenchmarks: matmul kernels (blocked/parallel vs
-// the naive reference, and thread-count scaling), attention probabilities
+// the naive reference, and thread-count scaling), GELU and softmax per
+// kernel backend, attention probabilities
 // and dropout at the pretraining shape, transformer forward and
 // forward+backward (tiny and NorBERT-ish configs), GRU step throughput.
 #include <benchmark/benchmark.h>
@@ -59,25 +60,33 @@ nn::kernels::Backend best_simd_backend() {
   return nn::kernels::Backend::kScalar;
 }
 
-// Runs the blocked matmul pinned to one backend. The `backend_id` counter
-// lets the CI kernel gate detect when BM_MatmulSimd silently ran on scalar
-// (no SIMD available) and skip the speedup assertion instead of failing it.
-void matmul_on_backend(benchmark::State& state, nn::kernels::Backend b) {
+// Runs `body` with the kernel backend pinned to `b`. The `backend_id`
+// counter lets the CI kernel gate detect when a *Simd entry silently ran on
+// scalar (no SIMD available) and skip the speedup assertion instead of
+// failing it.
+template <typename Body>
+void on_backend(benchmark::State& state, nn::kernels::Backend b, Body body) {
   const nn::kernels::Backend prev = nn::kernels::active();
   nn::kernels::set_backend(b);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  nn::Tensor a = nn::Tensor::randn({n, n}, rng, 1.0f, false);
-  nn::Tensor w = nn::Tensor::randn({n, n}, rng, 1.0f, false);
-  for (auto _ : state) {
-    nn::Tensor c = nn::matmul(a, w);
-    benchmark::DoNotOptimize(c.data().data());
-  }
-  state.counters["GFLOPS"] =
-      benchmark::Counter(matmul_gflops(state, n), benchmark::Counter::kIsRate);
+  body();
   state.counters["backend_id"] =
       static_cast<double>(static_cast<int>(nn::kernels::active()));
   nn::kernels::set_backend(prev);
+}
+
+void matmul_on_backend(benchmark::State& state, nn::kernels::Backend b) {
+  on_backend(state, b, [&] {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    Rng rng(1);
+    nn::Tensor a = nn::Tensor::randn({n, n}, rng, 1.0f, false);
+    nn::Tensor w = nn::Tensor::randn({n, n}, rng, 1.0f, false);
+    for (auto _ : state) {
+      nn::Tensor c = nn::matmul(a, w);
+      benchmark::DoNotOptimize(c.data().data());
+    }
+    state.counters["GFLOPS"] = benchmark::Counter(matmul_gflops(state, n),
+                                                  benchmark::Counter::kIsRate);
+  });
 }
 
 // Per-backend GEMM entries: the same kernel shapes as BM_Matmul, but pinned
@@ -93,6 +102,48 @@ void BM_MatmulSimd(benchmark::State& state) {
   matmul_on_backend(state, best_simd_backend());
 }
 BENCHMARK(BM_MatmulSimd)->Arg(128)->Arg(256)->Arg(512);
+
+// The transcendental ops on [rows, cols] = range(0) x range(1), pinned to
+// the scalar libm port vs the best SIMD backend: GELU (the FFN activation,
+// one tanh per element) and a softmax over rows (one exp per element).
+// Shapes: one FFN of a B = 32 decode step, [32, 128], and one FFN of the
+// pretraining step in perfbench's pretrain_stream, [16·64, 128].
+template <typename Op>
+void unary_on_backend(benchmark::State& state, nn::kernels::Backend b,
+                      Op op) {
+  on_backend(state, b, [&] {
+    const auto rows = static_cast<std::size_t>(state.range(0));
+    const auto cols = static_cast<std::size_t>(state.range(1));
+    Rng rng(2);
+    const nn::Tensor a = nn::Tensor::randn({rows, cols}, rng, 2.0f, false);
+    for (auto _ : state) {
+      nn::Tensor y = op(a);
+      benchmark::DoNotOptimize(y.data().data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(rows * cols));
+  });
+}
+
+void BM_GeluScalar(benchmark::State& state) {
+  unary_on_backend(state, nn::kernels::Backend::kScalar, nn::gelu);
+}
+BENCHMARK(BM_GeluScalar)->Args({32, 128})->Args({1024, 128});
+
+void BM_GeluSimd(benchmark::State& state) {
+  unary_on_backend(state, best_simd_backend(), nn::gelu);
+}
+BENCHMARK(BM_GeluSimd)->Args({32, 128})->Args({1024, 128});
+
+void BM_SoftmaxRowsScalar(benchmark::State& state) {
+  unary_on_backend(state, nn::kernels::Backend::kScalar, nn::softmax);
+}
+BENCHMARK(BM_SoftmaxRowsScalar)->Args({32, 128})->Args({1024, 128});
+
+void BM_SoftmaxRowsSimd(benchmark::State& state) {
+  unary_on_backend(state, best_simd_backend(), nn::softmax);
+}
+BENCHMARK(BM_SoftmaxRowsSimd)->Args({32, 128})->Args({1024, 128});
 
 // Thread-count scaling at a fixed size: Arg is the pool size (0 = the
 // NETFM_THREADS / hardware default). Compare threads=1 vs threads=N rows.

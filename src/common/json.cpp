@@ -95,29 +95,49 @@ struct Parser {
     }
   }
 
+  /// Advances past a run of ASCII digits; returns how many there were.
+  std::size_t digits() {
+    const std::size_t start = pos;
+    while (!eof() && peek() >= '0' && peek() <= '9') ++pos;
+    return pos - start;
+  }
+
+  /// RFC 8259 number: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+  /// A literal whose magnitude rounds past double's range is rejected.
   std::optional<Value> parse_number() {
     const std::size_t start = pos;
-    if (!eof() && peek() == '-') ++pos;
-    while (!eof() && (std::isdigit(static_cast<unsigned char>(peek())) ||
-                      peek() == '.' || peek() == 'e' || peek() == 'E' ||
-                      peek() == '+' || peek() == '-'))
+    const bool negative = !eof() && peek() == '-';
+    if (negative) ++pos;
+    if (eof() || peek() < '0' || peek() > '9') return std::nullopt;
+    if (peek() == '0')
+      ++pos;  // a leading zero is the whole integer part
+    else
+      digits();
+    bool integral = true;
+    if (!eof() && peek() == '.') {
       ++pos;
-    if (pos == start) return std::nullopt;
+      if (digits() == 0) return std::nullopt;
+      integral = false;
+    }
+    if (!eof() && (peek() == 'e' || peek() == 'E')) {
+      ++pos;
+      if (!eof() && (peek() == '+' || peek() == '-')) ++pos;
+      if (digits() == 0) return std::nullopt;
+      integral = false;
+    }
     const std::string token(text.substr(start, pos - start));
     // Unsigned integer literals stay exact (seeds and ids up to 2^64 - 1);
     // anything else, or a literal past 2^64 - 1, parses as a double.
-    if (token.find_first_not_of("0123456789") == std::string::npos) {
+    if (integral && !negative) {
       std::uint64_t u = 0;
       const auto [ptr, ec] =
           std::from_chars(token.data(), token.data() + token.size(), u);
       if (ec == std::errc() && ptr == token.data() + token.size())
         return Value(u);
     }
-    char* end = nullptr;
-    const double d = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return std::nullopt;
-    // strtod also takes what from_chars refuses (a leading '+', a value
-    // outside float's range); those keep the double's float.
+    const double d = std::strtod(token.c_str(), nullptr);
+    if (std::isinf(d)) return std::nullopt;
+    // A value outside float's range keeps the double's float (±inf).
     float f = static_cast<float>(d);
     std::from_chars(token.data(), token.data() + token.size(), f);
     return Value(Value::Decimal{d, f});

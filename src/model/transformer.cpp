@@ -191,11 +191,9 @@ Tensor EncoderBlock::forward_incremental_batch(
       // attention_probs' row loop over the visible keys.
       float maxv = s[0];
       for (std::size_t j = 1; j <= t; ++j) maxv = std::max(maxv, s[j]);
+      kt.exp_shift(s.data(), maxv, t + 1, s.data());
       float total = 0.0f;
-      for (std::size_t j = 0; j <= t; ++j) {
-        s[j] = std::exp(s[j] - maxv);
-        total += s[j];
-      }
+      for (std::size_t j = 0; j <= t; ++j) total += s[j];
       for (std::size_t j = 0; j <= t; ++j) s[j] /= total;
       // context = attn · V accumulated run-by-run across the block table
       // on the dispatched backend — bit-identical to one contiguous

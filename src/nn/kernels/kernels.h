@@ -1,13 +1,22 @@
 // Runtime-dispatched CPU kernel backends for the nn tensor engine.
 //
-// The packed/register-blocked scalar-fp32 kernels (extracted from
-// src/nn/tensor.cpp) are the *reference oracle*: every other backend must
-// produce bit-identical fp32 results. That is possible because the blocked
-// GEMM reduces K in a fixed serial order per output element, and the SIMD
-// backends vectorize only across *independent output columns* (the NR
-// dimension) using separate multiply and add instructions — never FMA,
-// whose single rounding would diverge from the scalar two-rounding
-// sequence.
+// The scalar kernels are the *reference oracle*: every other backend must
+// produce bit-identical fp32 results. Two families of kernels keep that
+// promise in two ways:
+//
+//  - The GEMM and weighted sums (the packed/register-blocked kernels
+//    extracted from src/nn/tensor.cpp) reduce K in a fixed serial order per
+//    output element, and the SIMD backends vectorize only across
+//    *independent output columns* (the NR dimension) using separate
+//    multiply and add instructions — never FMA, whose single rounding would
+//    diverge from the scalar two-rounding sequence.
+//  - The elementwise transcendentals (tanh, exp and the GELU built on tanh)
+//    are defined by libm_port.h: ports of glibc 2.36's tanhf/expm1f and
+//    expf. A SIMD backend runs the port's exact operation sequence in every
+//    lane, each branch as a lane mask. The one FMA anywhere in the layer is
+//    expf's own: the port, like the libm it reproduces, computes its
+//    reduction and polynomial in double with fused multiply-adds, so every
+//    backend uses the same fused operations there.
 //
 // A backend is selected once, at first use, via cpuid-style runtime
 // detection (best available wins: avx512 > avx2 > neon > scalar), with an
@@ -70,6 +79,23 @@ struct KernelTable {
   /// contiguous weighted_sum over the same rows.
   void (*weighted_sum_acc)(const float* w, const float* rows, std::size_t t,
                            std::size_t dk, float* out);
+
+  /// out[i] = tanh(in[i]) for i in [0, n): bitwise tanhf_port. `out` may
+  /// be `in`.
+  void (*tanh)(const float* in, std::size_t n, float* out);
+
+  /// out[i] = exp(in[i] - shift), the difference rounded to float first:
+  /// bitwise expf_port(in[i] - shift). The softmax rows pass their max as
+  /// `shift`; shift 0 gives a plain exp. `out` may be `in`.
+  void (*exp_shift)(const float* in, float shift, std::size_t n, float* out);
+
+  /// GELU, tanh approximation: out[i] = 0.5·x·(1 + tanh(C·(x + A·x·x·x)))
+  /// for x = in[i], the float expression nn::gelu has always evaluated.
+  void (*gelu)(const float* in, std::size_t n, float* out);
+
+  /// GELU backward, accumulated: ga[i] += g[i] · gelu'(x[i]).
+  void (*gelu_backward)(const float* x, const float* g, std::size_t n,
+                        float* ga);
 };
 
 /// The active backend's kernels. Selects a backend on first call (cpuid +

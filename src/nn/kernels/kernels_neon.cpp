@@ -1,13 +1,15 @@
 // NEON kernels (aarch64). Same bitwise contract as the x86 backends:
 // vectorize only across independent output columns, and use separate
 // vmulq_f32 + vaddq_f32 — never vmlaq/vfmaq, whose fused rounding would
-// diverge from the scalar oracle. Compiled unconditionally on aarch64
+// diverge from the scalar oracle. The transcendentals are the scalar
+// ports (libm_port.h) as they are. Compiled unconditionally on aarch64
 // (NEON is baseline there), excluded from x86 builds by CMake.
 #if defined(__aarch64__) || defined(_M_ARM64)
 
 #include <arm_neon.h>
 
 #include "nn/kernels/kernels.h"
+#include "nn/kernels/libm_port.h"
 
 namespace netfm::nn::kernels {
 namespace {
@@ -105,6 +107,10 @@ const KernelTable kNeonTable = {
     gemm_rows_neon,
     weighted_sum_neon,
     weighted_sum_acc_neon,
+    tanh_scalar,
+    exp_shift_scalar,
+    gelu_scalar,
+    gelu_backward_scalar,
 };
 
 }  // namespace netfm::nn::kernels

@@ -634,17 +634,18 @@ Tensor add_like(const Tensor& a, const Tensor& b, float sign) {
   return Tensor(node);
 }
 
-/// Shared unary-elementwise builder.
-template <typename F, typename DF>
-Tensor unary(const Tensor& a, F f, DF df) {
+/// Shared unary-elementwise builder, a chunk at a time: `fwd(x, n, y)`
+/// fills n outputs, `bwd(x, y, g, n, ga)` accumulates their gradient.
+template <typename F, typename B>
+Tensor unary_chunks(const Tensor& a, F fwd, B bwd) {
   auto node = make_node(a.shape(), {a.node()}, Init::kUninit);
   const float* ap = a.data().data();
   float* op = node->value.data();
   const std::size_t n = a.size();
   parallel_elems(n, [=](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) op[i] = f(ap[i]);
+    fwd(ap + lo, hi - lo, op + lo);
   });
-  set_backward(node, [n, df](TensorNode& self) {
+  set_backward(node, [n, bwd](TensorNode& self) {
     TensorNode& A = *self.parents[0];
     if (!A.requires_grad) return;
     float* ga = A.grad.data();
@@ -652,10 +653,33 @@ Tensor unary(const Tensor& a, F f, DF df) {
     const float* g = self.grad.data();
     const float* y = self.value.data();
     parallel_elems(n, [=](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) ga[i] += g[i] * df(av[i], y[i]);
+      bwd(av + lo, y + lo, g + lo, hi - lo, ga + lo);
     });
   });
   return Tensor(node);
+}
+
+/// unary_chunks over per-element functions: y = f(x), dy/dx = df(x, y).
+template <typename F, typename DF>
+Tensor unary(const Tensor& a, F f, DF df) {
+  return unary_chunks(
+      a,
+      [f](const float* x, std::size_t n, float* y) {
+        for (std::size_t i = 0; i < n; ++i) y[i] = f(x[i]);
+      },
+      [df](const float* x, const float* y, const float* g, std::size_t n,
+           float* ga) {
+        for (std::size_t i = 0; i < n; ++i) ga[i] += g[i] * df(x[i], y[i]);
+      });
+}
+
+/// ga[i] += g[i] * df(y[i]) for ops whose derivative reads the output only.
+template <typename DF>
+auto grad_from_output(DF df) {
+  return [df](const float*, const float* y, const float* g, std::size_t n,
+              float* ga) {
+    for (std::size_t i = 0; i < n; ++i) ga[i] += g[i] * df(y[i]);
+  };
 }
 
 }  // namespace
@@ -704,34 +728,39 @@ Tensor relu(const Tensor& a) {
       [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; });
 }
 
+// The transcendental ops run on the dispatched kernels (nn/kernels), whose
+// tanh and exp are bitwise the libm ports of libm_port.h on every backend.
+
 Tensor gelu(const Tensor& a) {
-  // tanh approximation of GELU (matches BERT).
-  constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
-  return unary(
+  // tanh approximation of GELU (matches BERT), fused in the kernel layer.
+  return unary_chunks(
       a,
-      [](float x) {
-        const float inner = kC * (x + 0.044715f * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(inner));
+      [](const float* x, std::size_t n, float* y) {
+        kernels::table().gelu(x, n, y);
       },
-      [](float x, float) {
-        const float x3 = x * x * x;
-        const float inner = kC * (x + 0.044715f * x3);
-        const float t = std::tanh(inner);
-        const float dinner = kC * (1.0f + 3.0f * 0.044715f * x * x);
-        return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
-      });
+      [](const float* x, const float*, const float* g, std::size_t n,
+         float* ga) { kernels::table().gelu_backward(x, g, n, ga); });
 }
 
 Tensor tanh_op(const Tensor& a) {
-  return unary(
-      a, [](float x) { return std::tanh(x); },
-      [](float, float y) { return 1.0f - y * y; });
+  return unary_chunks(
+      a,
+      [](const float* x, std::size_t n, float* y) {
+        kernels::table().tanh(x, n, y);
+      },
+      grad_from_output([](float y) { return 1.0f - y * y; }));
 }
 
 Tensor sigmoid(const Tensor& a) {
-  return unary(
-      a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
-      [](float, float y) { return y * (1.0f - y); });
+  return unary_chunks(
+      a,
+      [](const float* x, std::size_t n, float* y) {
+        // 1 / (1 + exp(-x)); exp(-x - 0) is exp(-x) for every x.
+        for (std::size_t i = 0; i < n; ++i) y[i] = -x[i];
+        kernels::table().exp_shift(y, 0.0f, n, y);
+        for (std::size_t i = 0; i < n; ++i) y[i] = 1.0f / (1.0f + y[i]);
+      },
+      grad_from_output([](float y) { return y * (1.0f - y); }));
 }
 
 namespace {
@@ -753,16 +782,15 @@ Tensor softmax(const Tensor& a) {
   const float* ap = a.data().data();
   float* op = node->value.data();
   parallel_rows(rows, cols, [=, cols = cols](std::size_t lo, std::size_t hi) {
+    const kernels::KernelTable& kt = kernels::table();
     for (std::size_t r = lo; r < hi; ++r) {
       const float* in = ap + r * cols;
       float* out = op + r * cols;
       float maxv = in[0];
       for (std::size_t c = 1; c < cols; ++c) maxv = std::max(maxv, in[c]);
+      kt.exp_shift(in, maxv, cols, out);
       float total = 0.0f;
-      for (std::size_t c = 0; c < cols; ++c) {
-        out[c] = std::exp(in[c] - maxv);
-        total += out[c];
-      }
+      for (std::size_t c = 0; c < cols; ++c) total += out[c];
       for (std::size_t c = 0; c < cols; ++c) out[c] /= total;
     }
   });
@@ -820,6 +848,7 @@ Tensor attention_probs(const Tensor& q, const Tensor& k, const KeyMask& mask,
   // and the sum see the same values, in the same order, as a full-row
   // softmax whose hidden entries contribute exp(-1e9 - max) == +0.
   parallel_rows(bh * t, t, [=](std::size_t lo, std::size_t hi) {
+    const kernels::KernelTable& kt = kernels::table();
     for (std::size_t r = lo; r < hi; ++r) {
       float* out = op + r * t;
       const float* flags = row_flags(r);
@@ -836,9 +865,11 @@ Tensor attention_probs(const Tensor& q, const Tensor& k, const KeyMask& mask,
         std::fill_n(out, t, 1.0f / static_cast<float>(t));
         continue;
       }
+      // exp over the whole span, then hidden keys back to 0.
+      kt.exp_shift(out, maxv, end, out);
       float total = 0.0f;
       for (std::size_t j = 0; j < end; ++j) {
-        out[j] = flags[j] != 0.0f ? std::exp(out[j] - maxv) : 0.0f;
+        if (flags[j] == 0.0f) out[j] = 0.0f;
         total += out[j];
       }
       for (std::size_t j = 0; j < end; ++j) out[j] /= total;
@@ -901,13 +932,15 @@ Tensor log_softmax(const Tensor& a) {
   const float* ap = a.data().data();
   float* op = node->value.data();
   parallel_rows(rows, cols, [=, cols = cols](std::size_t lo, std::size_t hi) {
+    const kernels::KernelTable& kt = kernels::table();
     for (std::size_t r = lo; r < hi; ++r) {
       const float* in = ap + r * cols;
       float* out = op + r * cols;
       float maxv = in[0];
       for (std::size_t c = 1; c < cols; ++c) maxv = std::max(maxv, in[c]);
+      kt.exp_shift(in, maxv, cols, out);  // out is scratch until below
       float total = 0.0f;
-      for (std::size_t c = 0; c < cols; ++c) total += std::exp(in[c] - maxv);
+      for (std::size_t c = 0; c < cols; ++c) total += out[c];
       const float log_total = std::log(total) + maxv;
       for (std::size_t c = 0; c < cols; ++c) out[c] = in[c] - log_total;
     }
@@ -919,14 +952,21 @@ Tensor log_softmax(const Tensor& a) {
     const float* gp = self.grad.data();
     float* gap = A.grad.data();
     parallel_rows(rows, cols, [=](std::size_t lo, std::size_t hi) {
+      const kernels::KernelTable& kt = kernels::table();
+      constexpr std::size_t kRun = 64;
+      float ey[kRun];  // exp(y) over one run of a row
       for (std::size_t r = lo; r < hi; ++r) {
         const float* y = yp + r * cols;
         const float* g = gp + r * cols;
         float gsum = 0.0f;
         for (std::size_t c = 0; c < cols; ++c) gsum += g[c];
         float* ga = gap + r * cols;
-        for (std::size_t c = 0; c < cols; ++c)
-          ga[c] += g[c] - std::exp(y[c]) * gsum;
+        for (std::size_t c0 = 0; c0 < cols; c0 += kRun) {
+          const std::size_t len = std::min(kRun, cols - c0);
+          kt.exp_shift(y + c0, 0.0f, len, ey);
+          for (std::size_t c = 0; c < len; ++c)
+            ga[c0 + c] += g[c0 + c] - ey[c] * gsum;
+        }
       }
     });
   });
@@ -1284,6 +1324,7 @@ Tensor cross_entropy(const Tensor& logits, std::span<const int> targets) {
   auto node = make_node(Shape{1}, {logits.node()});
   double total = 0.0;
   std::size_t active = 0;
+  const kernels::KernelTable& kt = kernels::table();
   for (std::size_t i = 0; i < n; ++i) {
     // An ignored position needs no softmax: the backward skips its row too.
     const int t = (*tgt)[i];
@@ -1294,11 +1335,9 @@ Tensor cross_entropy(const Tensor& logits, std::span<const int> targets) {
     float* p = probs->data() + i * classes;
     float maxv = in[0];
     for (std::size_t c = 1; c < classes; ++c) maxv = std::max(maxv, in[c]);
+    kt.exp_shift(in, maxv, classes, p);
     float denom = 0.0f;
-    for (std::size_t c = 0; c < classes; ++c) {
-      p[c] = std::exp(in[c] - maxv);
-      denom += p[c];
-    }
+    for (std::size_t c = 0; c < classes; ++c) denom += p[c];
     for (std::size_t c = 0; c < classes; ++c) p[c] /= denom;
     total += -std::log(std::max(p[t], 1e-12f));
     ++active;

@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/kernels/libm_port.h"
+
 namespace netfm::nn {
 namespace {
 
 float fast_sigmoid(float x) noexcept {
   if (x > 8.0f) return 1.0f;
   if (x < -8.0f) return 0.0f;
-  return 1.0f / (1.0f + std::exp(-x));
+  return 1.0f / (1.0f + kernels::expf_port(-x));
 }
 
 }  // namespace

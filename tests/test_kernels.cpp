@@ -4,14 +4,23 @@
 // is *bitwise* equal to the scalar oracle on the fp32 route — GEMM,
 // backward, the encoder forward, batched and incremental. Every test here
 // compares across all backends available on the running CPU, under both a
-// single-thread pool and the default pool; the CI kernels-smoke step
+// single-thread pool and the default pool. The transcendental kernels
+// (tanh, exp, GELU) are held to the scalar libm port on a strided sweep of
+// the bit patterns, every branch boundary and every tail length (the
+// exhaustive 2^32 sweep is bench/sweep_transcendentals). The CI
+// kernels-smoke step
 // re-runs the whole binary once per backend via NETFM_KERNELS, and the
 // TSan lane runs it alongside concurrency/infer/serve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,6 +31,7 @@
 #include "model/kv_pool.h"
 #include "nn/gemm.h"
 #include "nn/kernels/kernels.h"
+#include "nn/kernels/libm_port.h"
 #include "nn/tensor.h"
 
 namespace netfm {
@@ -407,6 +417,258 @@ TEST(KernelWeightedSum, AccAndPagedBitwiseAcrossBackends) {
             << kernels::backend_name(b) << " acc dk=" << dk << " col " << c;
       }
     }
+  }
+}
+
+// ---- transcendentals ---------------------------------------------------
+
+std::uint32_t bits(float f) { return std::bit_cast<std::uint32_t>(f); }
+float from_bits(std::uint32_t u) { return std::bit_cast<float>(u); }
+
+/// Every branch boundary of the ports (libm_port.h), with both float
+/// neighbours and both signs: tanhf's 2^-55, 1 and 22; expm1f's 2^-25,
+/// 0.5·ln2, 1.5·ln2 and 27·ln2, also halved (tanh passes expm1f ±2|x|) and
+/// at the k = 23 and k = 57 switches; expf's 88, overflow and underflow
+/// thresholds; ±0, ±inf and NaNs. Also the two inputs whose expf result
+/// changes when its reduction r is not one fused multiply-add.
+std::vector<float> boundary_inputs() {
+  std::vector<std::uint32_t> centers = {
+      0x24000000, 0x3f800000, 0x41b00000, 0x33000000, 0x3eb17218,
+      0x3f851592, 0x4195b844, 0x42b17218, 0x42b00000,
+      bits(nn::kernels::port::kExpOverflow),
+      bits(-nn::kernels::port::kExpUnderflow),
+      bits(-nn::kernels::port::kExpTiny),
+      bits(22.5f * 0.6931472f), bits(56.5f * 0.6931472f),
+      bits(0x1.04845ep+5f), bits(0x1.f8cbb2p+5f)};
+  const std::size_t direct = centers.size();
+  for (std::size_t i = 0; i < direct; ++i)
+    centers.push_back(centers[i] - 0x00800000);  // the value halved
+  std::vector<float> out;
+  for (std::uint32_t c : centers)
+    for (std::uint32_t u : {c - 1, c, c + 1})
+      for (std::uint32_t sign : {0u, 0x80000000u})
+        out.push_back(from_bits(u | sign));
+  for (std::uint32_t u : {0x00000000u, 0x80000000u, 0x00000001u, 0x807fffffu,
+                          0x7f800000u, 0xff800000u, 0x7fc00000u, 0xffc00000u,
+                          0x7f800001u, 0xff912345u, 0x7f7fffffu, 0xff7fffffu})
+    out.push_back(from_bits(u));
+  return out;
+}
+
+/// Runs every transcendental kernel of `kt` over `in`: tanh, exp (shift 0
+/// and a nonzero shift), GELU and its backward. Kernel k writes
+/// [k·w, k·w + n) of the result, w = n + kGuard; the kGuard floats after
+/// each output hold a sentinel, so a kernel that writes past n differs
+/// from the scalar oracle there.
+constexpr std::size_t kGuard = 4;
+std::vector<float> run_transcendentals(const nn::kernels::KernelTable& kt,
+                                       const std::vector<float>& in) {
+  const std::size_t n = in.size(), w = n + kGuard;
+  std::vector<float> out(5 * w, -12345.0f);
+  kt.tanh(in.data(), n, out.data());
+  kt.exp_shift(in.data(), 0.0f, n, out.data() + w);
+  kt.exp_shift(in.data(), -1.75f, n, out.data() + 2 * w);
+  kt.gelu(in.data(), n, out.data() + 3 * w);
+  // g and the accumulated ga: finite, varied, sign-mixed.
+  std::vector<float> g(n);
+  for (std::size_t i = 0; i < n; ++i)
+    g[i] = static_cast<float>(static_cast<int>(i % 13) - 6) * 0.375f;
+  std::fill_n(out.begin() + 4 * static_cast<std::ptrdiff_t>(w), n, 0.125f);
+  kt.gelu_backward(in.data(), g.data(), n, out.data() + 4 * w);
+  return out;
+}
+
+/// The first bit difference between two run_transcendentals results over
+/// `in`, described; empty when they are equal.
+std::string first_difference(const std::vector<float>& got,
+                             const std::vector<float>& want,
+                             const std::vector<float>& in) {
+  if (got.size() != want.size()) return "size differs";
+  if (std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) == 0)
+    return "";
+  const std::size_t w = in.size() + kGuard;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (bits(got[i]) == bits(want[i])) continue;
+    const std::size_t j = i % w;
+    char where[96];
+    if (j < in.size())
+      std::snprintf(where, sizeof(where), "kernel %zu at x=%a (0x%08x)", i / w,
+                    static_cast<double>(in[j]), bits(in[j]));
+    else
+      std::snprintf(where, sizeof(where), "kernel %zu wrote past n", i / w);
+    char values[80];
+    std::snprintf(values, sizeof(values), ": got %a want %a",
+                  static_cast<double>(got[i]), static_cast<double>(want[i]));
+    return std::string(where) + values;
+  }
+  return "";
+}
+
+void expect_backends_match_port(const std::vector<float>& in,
+                                const std::string& what) {
+  BackendGuard guard;
+  kernels::set_backend(kernels::Backend::kScalar);
+  const std::vector<float> want = run_transcendentals(kernels::table(), in);
+  for (kernels::Backend b : kernels::available()) {
+    if (b == kernels::Backend::kScalar) continue;
+    kernels::set_backend(b);
+    EXPECT_EQ(first_difference(run_transcendentals(kernels::table(), in),
+                               want, in),
+              "")
+        << kernels::backend_name(b) << " " << what;
+  }
+}
+
+TEST(KernelTranscendental, ScalarBackendIsThePort) {
+  BackendGuard guard;
+  kernels::set_backend(kernels::Backend::kScalar);
+  const std::vector<float> in = boundary_inputs();
+  std::vector<float> t(in.size()), e(in.size());
+  kernels::table().tanh(in.data(), in.size(), t.data());
+  kernels::table().exp_shift(in.data(), 0.0f, in.size(), e.data());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ(bits(t[i]), bits(nn::kernels::tanhf_port(in[i])));
+    EXPECT_EQ(bits(e[i]), bits(nn::kernels::expf_port(in[i])));
+  }
+}
+
+TEST(KernelTranscendental, PortSpecialValues) {
+  using nn::kernels::expf_port;
+  using nn::kernels::tanhf_port;
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(bits(tanhf_port(0.0f)), bits(0.0f));
+  EXPECT_EQ(bits(tanhf_port(-0.0f)), bits(-0.0f));
+  EXPECT_EQ(tanhf_port(inf), 1.0f);
+  EXPECT_EQ(tanhf_port(-inf), -1.0f);
+  EXPECT_EQ(tanhf_port(22.0f), 1.0f);
+  EXPECT_EQ(tanhf_port(0x1p-60f), 0x1p-60f);
+  EXPECT_TRUE(std::isnan(tanhf_port(std::numeric_limits<float>::quiet_NaN())));
+  EXPECT_EQ(expf_port(0.0f), 1.0f);
+  EXPECT_EQ(expf_port(1.0f), 0x1.5bf0a8p+1f);  // e, correctly rounded
+  EXPECT_EQ(expf_port(-inf), 0.0f);
+  EXPECT_EQ(expf_port(inf), inf);
+  EXPECT_EQ(expf_port(89.0f), inf);
+  EXPECT_EQ(expf_port(-104.0f), 0.0f);
+  EXPECT_EQ(expf_port(-103.5f), 0x1p-149f);
+  EXPECT_TRUE(std::isnan(expf_port(std::numeric_limits<float>::quiet_NaN())));
+  // Within 1 ulp of the double-precision functions on ordinary inputs.
+  for (float x : {-20.5f, -3.25f, -0.75f, -0.01f, 0.3f, 1.5f, 9.0f, 40.0f}) {
+    EXPECT_NEAR(expf_port(x), std::exp(static_cast<double>(x)),
+                std::exp(static_cast<double>(x)) * 0x1p-23);
+    EXPECT_NEAR(tanhf_port(x), std::tanh(static_cast<double>(x)), 0x1p-23);
+  }
+}
+
+TEST(KernelTranscendental, BranchBoundariesBitwiseAcrossBackends) {
+  expect_backends_match_port(boundary_inputs(), "boundaries");
+}
+
+TEST(KernelTranscendental, StridedSweepBitwiseAcrossBackends) {
+  // Every 61st bit pattern (all signs, exponents and both NaN kinds), in
+  // chunks spread over the thread pool. Each backend's table is taken once
+  // up front, so no chunk switches the process-wide backend.
+  BackendGuard guard;
+  std::vector<const kernels::KernelTable*> tables;
+  for (kernels::Backend b : kernels::available()) {
+    kernels::set_backend(b);
+    tables.push_back(&kernels::table());
+  }
+  kernels::set_backend(guard.saved);
+  constexpr std::uint64_t kStride = 61, kAll = std::uint64_t{1} << 32;
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;
+  const std::uint64_t per_chunk = kChunk * kStride;
+  std::mutex mu;
+  std::string first_failure;
+  ThreadPool::global().parallel_for(
+      0, (kAll + per_chunk - 1) / per_chunk, 1,
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<float> in;
+        for (std::size_t c = lo; c < hi; ++c) {
+          in.clear();
+          for (std::uint64_t u = c * per_chunk;
+               u < std::min(kAll, (c + 1) * per_chunk); u += kStride)
+            in.push_back(from_bits(static_cast<std::uint32_t>(u)));
+          const std::vector<float> want =
+              run_transcendentals(*tables.front(), in);
+          for (std::size_t t = 1; t < tables.size(); ++t) {
+            const std::string diff = first_difference(
+                run_transcendentals(*tables[t], in), want, in);
+            if (diff.empty()) continue;
+            std::lock_guard<std::mutex> lock(mu);
+            if (first_failure.empty())
+              first_failure = std::string(tables[t]->name) + " " + diff;
+          }
+        }
+      });
+  EXPECT_EQ(first_failure, "");
+}
+
+TEST(KernelTranscendental, EveryTailLengthAndInPlace) {
+  // Run lengths 0..33 cover an empty call, every AVX2 and AVX-512 tail and
+  // two full vectors plus a tail.
+  BackendGuard guard;
+  Rng rng(307);
+  for (std::size_t n = 0; n <= 33; ++n) {
+    std::vector<float> in(n);
+    for (float& v : in) v = static_cast<float>(rng.uniform_real(-9.0, 9.0));
+    expect_backends_match_port(in, "n=" + std::to_string(n));
+    // In place (out == in).
+    kernels::set_backend(kernels::Backend::kScalar);
+    std::vector<float> want_t(n), want_e(n);
+    kernels::table().tanh(in.data(), n, want_t.data());
+    kernels::table().exp_shift(in.data(), -1.75f, n, want_e.data());
+    for (kernels::Backend b : kernels::available()) {
+      kernels::set_backend(b);
+      std::vector<float> t = in, e = in;
+      kernels::table().tanh(t.data(), n, t.data());
+      kernels::table().exp_shift(e.data(), -1.75f, n, e.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bits(t[i]), bits(want_t[i]))
+            << kernels::backend_name(b) << " tanh in place, n=" << n;
+        ASSERT_EQ(bits(e[i]), bits(want_e[i]))
+            << kernels::backend_name(b) << " exp in place, n=" << n;
+      }
+    }
+  }
+}
+
+TEST(KernelTranscendental, TensorOpsBitwiseAcrossBackends) {
+  // Every op routed through the transcendental kernels, forward and
+  // backward, on a shape with a ragged row (37 columns).
+  BackendGuard guard;
+  Rng rng(409);
+  const Tensor x0 = Tensor::randn({5, 37}, rng, 2.0f, false);
+  const std::vector<int> targets = {3, -1, 36, 0, 17};
+  const auto run = [&] {
+    std::vector<float> out;
+    const auto keep = [&](const Tensor& t) {
+      out.insert(out.end(), t.data().begin(), t.data().end());
+    };
+    Tensor x(x0.shape(),
+             std::vector<float>(x0.data().begin(), x0.data().end()),
+             /*requires_grad=*/true);
+    const Tensor g = nn::gelu(x), th = nn::tanh_op(x), sg = nn::sigmoid(x);
+    const Tensor sm = nn::softmax(x), ls = nn::log_softmax(x);
+    const Tensor ce = nn::cross_entropy(x, targets);
+    for (const Tensor* t : {&g, &th, &sm, &sg, &ls, &ce}) keep(*t);
+    Tensor loss = nn::add(nn::add(nn::mean(nn::mul(g, th)),
+                                  nn::mean(nn::mul(sm, sg))),
+                          nn::add(nn::mean(ls), ce));
+    loss.backward();
+    out.insert(out.end(), x.grad().begin(), x.grad().end());
+    return out;
+  };
+  kernels::set_backend(kernels::Backend::kScalar);
+  const std::vector<float> want = run();
+  for (kernels::Backend b : kernels::available()) {
+    kernels::set_backend(b);
+    with_thread_counts([&] {
+      const std::vector<float> got = run();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(bits(got[i]), bits(want[i]))
+            << kernels::backend_name(b) << " element " << i;
+    });
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -231,6 +232,51 @@ TEST(JsonTest, ParseRejectsMalformedDocuments) {
         "\"unterminated", "{\"a\":1}trailing", "[01x]"}) {
     EXPECT_FALSE(json::Value::parse(bad).has_value()) << bad;
   }
+}
+
+TEST(JsonTest, NumbersFollowTheJsonGrammar) {
+  // RFC 8259: no '+' sign, no leading zeros, digits on both sides of '.',
+  // a digit after the exponent marker; nothing past double's range.
+  for (const char* bad :
+       {"+5", "01", "-01", "00", "1.", ".5", "-.5", "1.e5", "-", "--1", "1e",
+        "1e+", "1E-", "0x10", "1e400", "-1e400", "1e309", "[+5]", "[1.]",
+        "{\"ids\":[+5]}", "Infinity", "NaN", "- 1"}) {
+    EXPECT_FALSE(json::Value::parse(bad).has_value()) << bad;
+  }
+  const auto number = [](const char* text) {
+    const auto v = json::Value::parse(text);
+    EXPECT_TRUE(v.has_value()) << text;
+    return v ? v->as_number() : std::nan("");
+  };
+  EXPECT_EQ(number("0"), 0.0);
+  EXPECT_EQ(number("-0.0"), 0.0);
+  EXPECT_EQ(number("1E+2"), 100.0);
+  EXPECT_EQ(number("2.5e-3"), 2.5e-3);
+  EXPECT_EQ(number("-12.5"), -12.5);
+  EXPECT_EQ(number("1.7976931348623157e308"), 1.7976931348623157e308);
+  // A literal below double's smallest subnormal rounds to zero.
+  EXPECT_EQ(number("1e-400"), 0.0);
+  // Unsigned integers stay exact up to 2^64 - 1, then read as doubles.
+  const auto max = json::Value::parse("18446744073709551615");
+  ASSERT_TRUE(max.has_value());
+  ASSERT_TRUE(max->as_uint().has_value());
+  EXPECT_EQ(*max->as_uint(), ~std::uint64_t{0});
+  EXPECT_EQ(number("18446744073709551616"), 18446744073709551616.0);
+}
+
+TEST(JsonTest, ShortestFormFloatsRoundTrip) {
+  for (const float f : {1e-05f, -0.0f, 0.1f, 3.0f, -2.5e-38f, 3.4028235e38f,
+                        1e-45f, 0.33333334f}) {
+    const std::string text = json::Value(f).dump();
+    const auto v = json::Value::parse(text);
+    ASSERT_TRUE(v.has_value()) << text;
+    ASSERT_TRUE(v->as_float().has_value()) << text;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(*v->as_float()),
+              std::bit_cast<std::uint32_t>(f))
+        << text;
+  }
+  EXPECT_EQ(json::Value(1e-05f).dump(), "1e-05");
+  EXPECT_EQ(json::Value(-0.0f).dump(), "-0");
 }
 
 TEST(JsonTest, ParseHandlesEscapes) {

@@ -175,6 +175,14 @@ TEST(Protocol, GenerateSeedsCarryExactlyAndBadNumbersAreRejected) {
   EXPECT_FALSE(serve::parse_request("/v1/next_logits", "{\"ids\":[2.5]}",
                                     &error)
                    .has_value());
+  // Literals outside the JSON number grammar never reach the fields.
+  for (const char* body : {"{\"ids\":[+5]}", "{\"ids\":[05]}",
+                           "{\"ids\":[5.]}", "{\"ids\":[.5]}"})
+    EXPECT_FALSE(
+        serve::parse_request("/v1/next_logits", body, &error).has_value())
+        << body;
+  EXPECT_FALSE(seed_of("1e400").has_value());
+  EXPECT_FALSE(seed_of("+7").has_value());
 }
 
 TEST(Protocol, ReplyFloatsRoundTripBitwise) {
@@ -1104,6 +1112,15 @@ TEST_F(HttpServerTest, BadRequestsGetTypedHttpErrors) {
   auto bad_target = client2.post("/v1/does_not_exist", "{}");
   ASSERT_TRUE(bad_target.has_value());
   EXPECT_EQ(bad_target->first, 404);
+
+  // A number JSON forbids ('+5') is a typed 400, not a served id 5.
+  HttpClient client3(server_.port());
+  auto plus_sign = client3.post("/v1/next_logits", R"({"ids":[+5]})");
+  ASSERT_TRUE(plus_sign.has_value());
+  EXPECT_EQ(plus_sign->first, 400);
+  const auto typed = serve::parse_reply(plus_sign->second, serve::Op::kScore);
+  ASSERT_TRUE(typed.has_value());
+  EXPECT_EQ(typed->status, serve::Reply::Status::kError);
 }
 
 TEST_F(HttpServerTest, ConnDropFaultSeversBeforeReply) {
