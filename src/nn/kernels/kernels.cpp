@@ -58,8 +58,8 @@ bool cpu_supports(Backend b) noexcept {
     case Backend::kScalar:
       return true;
 #if defined(NETFM_HAVE_AVX2) || defined(NETFM_HAVE_AVX512)
-    case Backend::kAvx2:  // the expf port's fused multiply-adds need FMA
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+    case Backend::kAvx2:
+      return __builtin_cpu_supports("avx2");
     case Backend::kAvx512:
       return __builtin_cpu_supports("avx512f");
 #endif

@@ -13,10 +13,9 @@
 //  - The elementwise transcendentals (tanh, exp and the GELU built on tanh)
 //    are defined by libm_port.h: ports of glibc 2.36's tanhf/expm1f and
 //    expf. A SIMD backend runs the port's exact operation sequence in every
-//    lane, each branch as a lane mask. The one FMA anywhere in the layer is
-//    expf's own: the port, like the libm it reproduces, computes its
-//    reduction and polynomial in double with fused multiply-adds, so every
-//    backend uses the same fused operations there.
+//    lane, each branch as a lane mask (simd_transcendentals.h). No kernel
+//    fuses a multiply-add: the port reproduces the single rounding of the
+//    FMA build's expf reduction with an exact split product instead.
 //
 // A backend is selected once, at first use, via cpuid-style runtime
 // detection (best available wins: avx512 > avx2 > neon > scalar), with an

@@ -3,17 +3,17 @@
 // ymm lanes), K still reduces serially per element, and every step is a
 // separate _mm256_mul_ps + _mm256_add_ps — never FMA, whose fused rounding
 // would diverge from the scalar sequence. The transcendentals run the
-// scalar ports' operation sequence per lane; their only FMAs are the ones
-// expf_port itself performs. This translation unit is compiled with
-// -mavx2 -mfma (see src/CMakeLists.txt; -ffp-contract=off keeps the
-// compiler from fusing anything else); it is only ever entered after the
-// dispatcher has verified AVX2 and FMA via __builtin_cpu_supports.
+// scalar ports' operation sequence per lane (simd_transcendentals.h). This
+// translation unit is compiled with -mavx2 (see src/CMakeLists.txt); it is
+// only ever entered after the dispatcher has verified AVX2 via
+// __builtin_cpu_supports.
 #include <immintrin.h>
 
 #include <cstdint>
 
 #include "nn/kernels/kernels.h"
 #include "nn/kernels/libm_port.h"
+#include "nn/kernels/simd_transcendentals.h"
 
 namespace netfm::nn::kernels {
 namespace {
@@ -135,249 +135,68 @@ void weighted_sum_acc_avx2(const float* w, const float* rows, std::size_t t,
 
 // ---- transcendentals -----------------------------------------------------
 //
-// tanhf_port and expf_port (libm_port.h) in 8 lanes: each lane runs the
-// scalar port's operations in its order, and every branch of the port is
-// computed for all lanes and selected by a lane mask.
+// simd_transcendentals.h over 8 lanes. Masks are all-ones int32 lanes, and
+// the exp table is a gather.
 
-__m256 as_ps(__m256i v) { return _mm256_castsi256_ps(v); }
-__m256i as_si(__m256 v) { return _mm256_castps_si256(v); }
-__m256 splat(float v) { return _mm256_set1_ps(v); }
-__m256i splat_i(int v) { return _mm256_set1_epi32(v); }
-/// b where the mask lane is set, else a.
-__m256 select(__m256i mask, __m256 a, __m256 b) {
-  return _mm256_blendv_ps(a, b, as_ps(mask));
-}
-__m256i select_i(__m256i mask, __m256i a, __m256i b) {
-  return _mm256_blendv_epi8(a, b, mask);
-}
-__m256i gt(__m256i a, int b) { return _mm256_cmpgt_epi32(a, splat_i(b)); }
-__m256i lt(__m256i a, int b) { return _mm256_cmpgt_epi32(splat_i(b), a); }
-__m256i eq(__m256i a, int b) { return _mm256_cmpeq_epi32(a, splat_i(b)); }
+struct Avx2 {
+  static constexpr std::size_t kLanes = 8;
+  using F = __m256;
+  typedef std::uint32_t I __attribute__((vector_size(32)));
+  using M = I;
+  using H = __m128;
+  using D = __m256d;
+  typedef std::uint64_t L __attribute__((vector_size(32)));
+  using Tail = __m256i;
 
-/// expm1f_port restricted to the arguments tanhf_port passes it:
-/// a in [2, 44) (from |x| >= 1) or a in (-2, -2^-54] (from |x| < 1). There
-/// expm1f's huge-argument filter never fires and k == 1 (0.5·ln2 < a <
-/// 1.5·ln2) never occurs; every other branch is taken by some lane.
-__m256 expm1_tanh_arg_avx2(__m256 a) {
-  using namespace port;
-  const __m256i ha = _mm256_and_si256(as_si(a), splat_i(0x7fffffff));
-  const __m256i neg = _mm256_srai_epi32(as_si(a), 31);
-  // k: ±1 in 0.5·ln2 < |a| < 1.5·ln2, trunc(a/ln2 ± 0.5) above, 0 below.
-  const __m256i reduce = gt(ha, 0x3eb17218);
-  const __m256i near = lt(ha, 0x3f851592);
-  const __m256 half = select(neg, splat(0.5f), splat(-0.5f));
-  __m256i k = _mm256_cvttps_epi32(
-      _mm256_add_ps(_mm256_mul_ps(splat(kInvLn2), a), half));
-  k = select_i(_mm256_and_si256(reduce, near), k,
-               select_i(neg, splat_i(1), splat_i(-1)));
-  k = _mm256_and_si256(reduce, k);
-  // With k = ±1 or 0 the general reduction computes the same hi and lo as
-  // the port's special cases: a − (±1·ln2_hi) is a ∓ ln2_hi, a − 0 is a.
-  const __m256 kf = _mm256_cvtepi32_ps(k);
-  const __m256 hi = _mm256_sub_ps(a, _mm256_mul_ps(kf, splat(kLn2Hi)));
-  const __m256 lo = _mm256_mul_ps(kf, splat(kLn2Lo));
-  const __m256 x = _mm256_sub_ps(hi, lo);
-  const __m256 c = _mm256_sub_ps(_mm256_sub_ps(hi, x), lo);
-
-  const __m256 hfx = _mm256_mul_ps(splat(0.5f), x);
-  const __m256 hxs = _mm256_mul_ps(x, hfx);
-  __m256 r1 = _mm256_add_ps(splat(kQ4), _mm256_mul_ps(hxs, splat(kQ5)));
-  r1 = _mm256_add_ps(splat(kQ3), _mm256_mul_ps(hxs, r1));
-  r1 = _mm256_add_ps(splat(kQ2), _mm256_mul_ps(hxs, r1));
-  r1 = _mm256_add_ps(splat(kQ1), _mm256_mul_ps(hxs, r1));
-  r1 = _mm256_add_ps(splat(1.0f), _mm256_mul_ps(hxs, r1));
-  const __m256 t = _mm256_sub_ps(splat(3.0f), _mm256_mul_ps(r1, hfx));
-  __m256 e = _mm256_mul_ps(
-      hxs, _mm256_div_ps(_mm256_sub_ps(r1, t),
-                         _mm256_sub_ps(splat(6.0f), _mm256_mul_ps(x, t))));
-  // k == 0
-  const __m256 res0 =
-      _mm256_sub_ps(x, _mm256_sub_ps(_mm256_mul_ps(x, e), hxs));
-  e = _mm256_sub_ps(_mm256_mul_ps(x, _mm256_sub_ps(e, c)), c);
-  e = _mm256_sub_ps(e, hxs);
-  // k == -1
-  const __m256 res_m1 = _mm256_sub_ps(
-      _mm256_mul_ps(splat(0.5f), _mm256_sub_ps(x, e)), splat(0.5f));
-  const __m256i k23 = _mm256_slli_epi32(k, 23);  // k added to the exponent
-  const __m256 e_x = _mm256_sub_ps(e, x);
-  // k <= -2 or k > 56
-  const __m256 res_far = _mm256_sub_ps(
-      as_ps(_mm256_add_epi32(as_si(_mm256_sub_ps(splat(1.0f), e_x)), k23)),
-      splat(1.0f));
-  // 2 <= k < 23: t = 1 − 2^-k
-  const __m256 t_lo = as_ps(_mm256_sub_epi32(
-      splat_i(0x3f800000), _mm256_srlv_epi32(splat_i(0x1000000), k)));
-  const __m256 res_lo =
-      as_ps(_mm256_add_epi32(as_si(_mm256_sub_ps(t_lo, e_x)), k23));
-  // 23 <= k <= 56: t = 2^-k
-  const __m256 t_hi =
-      as_ps(_mm256_slli_epi32(_mm256_sub_epi32(splat_i(0x7f), k), 23));
-  const __m256 y_hi = _mm256_add_ps(
-      _mm256_sub_ps(x, _mm256_add_ps(e, t_hi)), splat(1.0f));
-  const __m256 res_hi = as_ps(_mm256_add_epi32(as_si(y_hi), k23));
-
-  __m256 res = select(lt(k, 23), res_hi, res_lo);
-  res = select(_mm256_or_si256(lt(k, -1), gt(k, 56)), res, res_far);
-  res = select(eq(k, -1), res, res_m1);
-  res = select(eq(k, 0), res, res0);
-  // |a| < 2^-25: a itself.
-  return select(lt(ha, 0x33000000), res, a);
-}
-
-__m256 tanh_avx2(__m256 v) {
-  const __m256i ix = _mm256_and_si256(as_si(v), splat_i(0x7fffffff));
-  const __m256i sign = _mm256_andnot_si256(splat_i(0x7fffffff), as_si(v));
-  const __m256 ax = as_ps(ix);
-  const __m256i big = gt(ix, 0x3f7fffff);
-  // |x| >= 1: expm1(2|x|), 1 − 2/(t + 2); else expm1(−2|x|), −t/(t + 2).
-  const __m256 a = select(big, _mm256_mul_ps(splat(-2.0f), ax),
-                          _mm256_mul_ps(splat(2.0f), ax));
-  const __m256 t = expm1_tanh_arg_avx2(a);
-  // One division per lane: q = 2/(t + 2) or −t/(t + 2).
-  const __m256 q = _mm256_div_ps(
-      select(big, as_ps(_mm256_xor_si256(as_si(t), splat_i(INT32_MIN))),
-             splat(2.0f)),
-      _mm256_add_ps(t, splat(2.0f)));
-  __m256 z = select(big, q, _mm256_sub_ps(splat(1.0f), q));
-  // |x| >= 22 (and ±inf): ±1.
-  z = select(gt(ix, 0x41afffff), z, splat(1.0f));
-  // z >= +0 here, so the sign of x goes on with an or.
-  __m256 res = as_ps(_mm256_or_si256(as_si(z), sign));
-  // |x| < 2^-55 (and ±0): x·(1 + x).
-  res = select(lt(ix, 0x24000000), res,
-               _mm256_mul_ps(v, _mm256_add_ps(splat(1.0f), v)));
-  // NaN: the quieted input, as 1/x ± 1 returns it.
-  return select(gt(ix, 0x7f800000), res, _mm256_add_ps(v, v));
-}
-
-/// expf_port's main path in 4 double lanes.
-__m128 exp_main_avx2(__m128 xf) {
-  using namespace port;
-  const __m256d xd = _mm256_cvtps_pd(xf);
-  const __m256d inv = _mm256_set1_pd(kInvLn2N);
-  const __m256d shift = _mm256_set1_pd(kShift);
-  const __m256d kd_shifted = _mm256_fmadd_pd(inv, xd, shift);
-  const __m256i ki = _mm256_castpd_si256(kd_shifted);
-  const __m256d kd = _mm256_sub_pd(kd_shifted, shift);
-  const __m256d r = _mm256_fmsub_pd(inv, xd, kd);
-  const __m256i tab = _mm256_i64gather_epi64(
-      reinterpret_cast<const long long*>(kExpTable),
-      _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8);
-  const __m256d s = _mm256_castsi256_pd(_mm256_add_epi64(
-      tab, _mm256_slli_epi64(ki, 52 - kExpTableBits)));
-  const __m256d z = _mm256_fmadd_pd(_mm256_set1_pd(kC0), r,
-                                    _mm256_set1_pd(kC1));
-  const __m256d r2 = _mm256_mul_pd(r, r);
-  __m256d y = _mm256_fmadd_pd(_mm256_set1_pd(kC2), r, _mm256_set1_pd(1.0));
-  y = _mm256_fmadd_pd(z, r2, y);
-  y = _mm256_mul_pd(y, s);
-  return _mm256_cvtpd_ps(y);
-}
-
-__m256 exp_avx2(__m256 x) {
-  using namespace port;
-  __m256 res = _mm256_set_m128(exp_main_avx2(_mm256_extractf128_ps(x, 1)),
-                               exp_main_avx2(_mm256_castps256_ps128(x)));
-  // |x| >= 88 and NaN, in the port's order of tests.
-  res = _mm256_blendv_ps(res, splat(__builtin_huge_valf()),
-                         _mm256_cmp_ps(x, splat(kExpOverflow), _CMP_GT_OQ));
-  res = _mm256_blendv_ps(res, splat(0x1p-149f),
-                         _mm256_cmp_ps(x, splat(kExpTiny), _CMP_LT_OQ));
-  res = _mm256_blendv_ps(res, _mm256_setzero_ps(),
-                         _mm256_cmp_ps(x, splat(kExpUnderflow), _CMP_LT_OQ));
-  return _mm256_blendv_ps(res, _mm256_add_ps(x, x),
-                          _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
-}
-
-/// Lane mask of the first n (< 8) lanes, for maskload/maskstore tails.
-__m256i tail_mask(std::size_t n) {
-  static constexpr std::int32_t kLanes[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
-                                              0,  0,  0,  0,  0,  0,  0,  0};
-  return _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(kLanes + 8 - n));
-}
-
-void tanh_avx2_rows(const float* in, std::size_t n, float* out) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(out + i, tanh_avx2(_mm256_loadu_ps(in + i)));
-  if (i < n) {
-    const __m256i m = tail_mask(n - i);
-    _mm256_maskstore_ps(out + i, m, tanh_avx2(_mm256_maskload_ps(in + i, m)));
+  static __m256i raw(I v) { return __m256i(v); }
+  static __m256i raw(L v) { return __m256i(v); }
+  static F splat(float v) { return _mm256_set1_ps(v); }
+  static I splat_i(std::int32_t v) { return I(_mm256_set1_epi32(v)); }
+  static F as_f(I v) { return F(v); }
+  static I as_i(F v) { return I(v); }
+  static D as_d(L v) { return _mm256_castsi256_pd(raw(v)); }
+  static L as_l(D v) { return L(_mm256_castpd_si256(v)); }
+  static M lt(I a, I b) { return I(_mm256_cmpgt_epi32(raw(b), raw(a))); }
+  static M gt(I a, I b) { return I(_mm256_cmpgt_epi32(raw(a), raw(b))); }
+  static M eq(I a, I b) { return I(_mm256_cmpeq_epi32(raw(a), raw(b))); }
+  static M flt(F a, F b) { return I(_mm256_cmp_ps(a, b, _CMP_LT_OQ)); }
+  static M fgt(F a, F b) { return I(_mm256_cmp_ps(a, b, _CMP_GT_OQ)); }
+  static M unord(F a) { return I(_mm256_cmp_ps(a, a, _CMP_UNORD_Q)); }
+  static F select(M m, F a, F b) { return _mm256_blendv_ps(a, b, F(m)); }
+  static I select_i(M m, I a, I b) {
+    return I(_mm256_blendv_epi8(raw(a), raw(b), raw(m)));
   }
-}
-
-void exp_shift_avx2(const float* in, float shift, std::size_t n,
-                    float* out) {
-  const __m256 sh = splat(shift);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(out + i,
-                     exp_avx2(_mm256_sub_ps(_mm256_loadu_ps(in + i), sh)));
-  if (i < n) {
-    const __m256i m = tail_mask(n - i);
-    _mm256_maskstore_ps(
-        out + i, m, exp_avx2(_mm256_sub_ps(_mm256_maskload_ps(in + i, m), sh)));
+  static I cvtt(F v) { return I(_mm256_cvttps_epi32(v)); }
+  static F cvt(I v) { return _mm256_cvtepi32_ps(raw(v)); }
+  static I srlv(I a, I n) {
+    return I(_mm256_srlv_epi32(raw(a), raw(n)));
   }
-}
-
-__m256 gelu_lanes_avx2(__m256 x) {
-  using port::kGeluA, port::kGeluC;
-  // kC·(x + ((A·x)·x)·x), then (0.5·x)·(1 + tanh).
-  const __m256 cube = _mm256_mul_ps(
-      _mm256_mul_ps(_mm256_mul_ps(splat(kGeluA), x), x), x);
-  const __m256 inner = _mm256_mul_ps(splat(kGeluC), _mm256_add_ps(x, cube));
-  return _mm256_mul_ps(_mm256_mul_ps(splat(0.5f), x),
-                       _mm256_add_ps(splat(1.0f), tanh_avx2(inner)));
-}
-
-void gelu_avx2(const float* in, std::size_t n, float* out) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(out + i, gelu_lanes_avx2(_mm256_loadu_ps(in + i)));
-  if (i < n) {
-    const __m256i m = tail_mask(n - i);
-    _mm256_maskstore_ps(out + i, m,
-                        gelu_lanes_avx2(_mm256_maskload_ps(in + i, m)));
+  static H lo(F v) { return _mm256_castps256_ps128(v); }
+  static H hi(F v) { return _mm256_extractf128_ps(v, 1); }
+  static F join(H lo, H hi) { return _mm256_set_m128(hi, lo); }
+  static D widen(H v) { return _mm256_cvtps_pd(v); }
+  static H narrow(D v) { return _mm256_cvtpd_ps(v); }
+  static L exp_table(L ki) {
+    return L(_mm256_i64gather_epi64(
+        reinterpret_cast<const long long*>(port::kExpTable), raw(ki & 31),
+        8));
   }
-}
-
-/// ga + g·gelu'(x), the scalar kernel's expression in its order.
-__m256 gelu_grad_lanes_avx2(__m256 x, __m256 g, __m256 ga) {
-  using port::kGeluA, port::kGeluC;
-  const __m256 x3 = _mm256_mul_ps(_mm256_mul_ps(x, x), x);
-  const __m256 inner = _mm256_mul_ps(
-      splat(kGeluC), _mm256_add_ps(x, _mm256_mul_ps(splat(kGeluA), x3)));
-  const __m256 t = tanh_avx2(inner);
-  const __m256 dinner = _mm256_mul_ps(
-      splat(kGeluC),
-      _mm256_add_ps(splat(1.0f),
-                    _mm256_mul_ps(_mm256_mul_ps(splat(3.0f * kGeluA), x), x)));
-  const __m256 left =
-      _mm256_mul_ps(splat(0.5f), _mm256_add_ps(splat(1.0f), t));
-  const __m256 right = _mm256_mul_ps(
-      _mm256_mul_ps(_mm256_mul_ps(splat(0.5f), x),
-                    _mm256_sub_ps(splat(1.0f), _mm256_mul_ps(t, t))),
-      dinner);
-  return _mm256_add_ps(ga, _mm256_mul_ps(g, _mm256_add_ps(left, right)));
-}
-
-void gelu_backward_avx2(const float* x, const float* g, std::size_t n,
-                        float* ga) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(ga + i, gelu_grad_lanes_avx2(_mm256_loadu_ps(x + i),
-                                                  _mm256_loadu_ps(g + i),
-                                                  _mm256_loadu_ps(ga + i)));
-  if (i < n) {
-    const __m256i m = tail_mask(n - i);
-    _mm256_maskstore_ps(
-        ga + i, m,
-        gelu_grad_lanes_avx2(_mm256_maskload_ps(x + i, m),
-                             _mm256_maskload_ps(g + i, m),
-                             _mm256_maskload_ps(ga + i, m)));
+  static F load(const float* p) { return _mm256_loadu_ps(p); }
+  static void store(float* p, F v) { _mm256_storeu_ps(p, v); }
+  /// Lane mask of the first n (< 8) lanes.
+  static Tail tail(std::size_t n) {
+    static constexpr std::int32_t kFirst[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                                0,  0,  0,  0,  0,  0,  0,  0};
+    return _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(kFirst + 8 - n));
   }
-}
+  static F load_tail(Tail m, const float* p) {
+    return _mm256_maskload_ps(p, m);
+  }
+  static void store_tail(Tail m, float* p, F v) {
+    _mm256_maskstore_ps(p, m, v);
+  }
+};
 
 }  // namespace
 
@@ -387,10 +206,10 @@ const KernelTable kAvx2Table = {
     gemm_rows_avx2,
     weighted_sum_avx2,
     weighted_sum_acc_avx2,
-    tanh_avx2_rows,
-    exp_shift_avx2,
-    gelu_avx2,
-    gelu_backward_avx2,
+    tanh_rows<Avx2>,
+    exp_shift_rows<Avx2>,
+    gelu_rows<Avx2>,
+    gelu_backward_rows<Avx2>,
 };
 
 }  // namespace netfm::nn::kernels

@@ -1,14 +1,16 @@
 // AVX-512F kernels. One 16-float zmm covers a full kNR panel row.
 // Same bitwise contract as the AVX2 backend: independent-output
 // vectorization only, separate mul + add (no FMA), serial K per element;
-// the transcendentals run the scalar ports' operation sequence per lane,
-// FMA only where expf_port itself fuses. Compiled with -mavx512f (see
+// the transcendentals run the scalar ports' operation sequence per lane
+// (simd_transcendentals.h). Compiled with -mavx512f (see
 // src/CMakeLists.txt); entered only after the dispatcher verified avx512f
 // at runtime.
 // GCC 12's avx512fintrin.h seeds "undefined" vectors from themselves, which
-// -Wuninitialized reports at every inlined use (GCC bug 105593).
+// -Wuninitialized and -Wmaybe-uninitialized report at every inlined use
+// (GCC bug 105593).
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
 #pragma GCC diagnostic pop
 
@@ -16,6 +18,7 @@
 
 #include "nn/kernels/kernels.h"
 #include "nn/kernels/libm_port.h"
+#include "nn/kernels/simd_transcendentals.h"
 
 namespace netfm::nn::kernels {
 namespace {
@@ -135,264 +138,77 @@ void weighted_sum_acc_avx512(const float* w, const float* rows, std::size_t t,
 
 // ---- transcendentals -----------------------------------------------------
 //
-// tanhf_port and expf_port (libm_port.h) in 16 lanes: each lane runs the
-// scalar port's operations in its order, and every branch of the port is
-// computed for all lanes and selected by a lane mask. AVX-512F only (no
-// DQ/BW), so float sign and blend tricks go through the integer domain.
+// simd_transcendentals.h over 16 lanes. AVX-512F only (no DQ/BW): masks are
+// __mmask16, and the 32-entry exp table is two 16-entry permutes.
 
-__m512 as_ps(__m512i v) { return _mm512_castsi512_ps(v); }
-__m512i as_si(__m512 v) { return _mm512_castps_si512(v); }
-__m512 splat(float v) { return _mm512_set1_ps(v); }
-__m512i splat_i(int v) { return _mm512_set1_epi32(v); }
+struct Avx512 {
+  static constexpr std::size_t kLanes = 16;
+  using F = __m512;
+  typedef std::uint32_t I __attribute__((vector_size(64)));
+  using M = __mmask16;
+  using H = __m256;
+  using D = __m512d;
+  typedef std::uint64_t L __attribute__((vector_size(64)));
+  using Tail = __mmask16;
 
-/// expm1f_port restricted to the arguments tanhf_port passes it:
-/// a in [2, 44) (from |x| >= 1) or a in (-2, -2^-54] (from |x| < 1). There
-/// expm1f's huge-argument filter never fires and k == 1 (0.5·ln2 < a <
-/// 1.5·ln2) never occurs; every other branch is taken by some lane.
-__m512 expm1_tanh_arg_avx512(__m512 a) {
-  using namespace port;
-  const __m512i ha = _mm512_and_si512(as_si(a), splat_i(0x7fffffff));
-  const __mmask16 neg = _mm512_cmplt_epi32_mask(as_si(a), splat_i(0));
-  // k: ±1 in 0.5·ln2 < |a| < 1.5·ln2, trunc(a/ln2 ± 0.5) above, 0 below.
-  const __mmask16 reduce = _mm512_cmpgt_epi32_mask(ha, splat_i(0x3eb17218));
-  const __mmask16 near = _mm512_cmplt_epi32_mask(ha, splat_i(0x3f851592));
-  const __m512 half = _mm512_mask_blend_ps(neg, splat(0.5f), splat(-0.5f));
-  __m512i k = _mm512_cvttps_epi32(
-      _mm512_add_ps(_mm512_mul_ps(splat(kInvLn2), a), half));
-  k = _mm512_mask_blend_epi32(reduce & near, k,
-                              _mm512_mask_blend_epi32(neg, splat_i(1),
-                                                      splat_i(-1)));
-  k = _mm512_maskz_mov_epi32(reduce, k);
-  // With k = ±1 or 0 the general reduction computes the same hi and lo as
-  // the port's special cases: a − (±1·ln2_hi) is a ∓ ln2_hi, a − 0 is a.
-  const __m512 kf = _mm512_cvtepi32_ps(k);
-  const __m512 hi = _mm512_sub_ps(a, _mm512_mul_ps(kf, splat(kLn2Hi)));
-  const __m512 lo = _mm512_mul_ps(kf, splat(kLn2Lo));
-  const __m512 x = _mm512_sub_ps(hi, lo);
-  const __m512 c = _mm512_sub_ps(_mm512_sub_ps(hi, x), lo);
-
-  const __m512 hfx = _mm512_mul_ps(splat(0.5f), x);
-  const __m512 hxs = _mm512_mul_ps(x, hfx);
-  __m512 r1 = _mm512_add_ps(splat(kQ4), _mm512_mul_ps(hxs, splat(kQ5)));
-  r1 = _mm512_add_ps(splat(kQ3), _mm512_mul_ps(hxs, r1));
-  r1 = _mm512_add_ps(splat(kQ2), _mm512_mul_ps(hxs, r1));
-  r1 = _mm512_add_ps(splat(kQ1), _mm512_mul_ps(hxs, r1));
-  r1 = _mm512_add_ps(splat(1.0f), _mm512_mul_ps(hxs, r1));
-  const __m512 t = _mm512_sub_ps(splat(3.0f), _mm512_mul_ps(r1, hfx));
-  __m512 e = _mm512_mul_ps(
-      hxs, _mm512_div_ps(_mm512_sub_ps(r1, t),
-                         _mm512_sub_ps(splat(6.0f), _mm512_mul_ps(x, t))));
-  // k == 0
-  const __m512 res0 =
-      _mm512_sub_ps(x, _mm512_sub_ps(_mm512_mul_ps(x, e), hxs));
-  e = _mm512_sub_ps(_mm512_mul_ps(x, _mm512_sub_ps(e, c)), c);
-  e = _mm512_sub_ps(e, hxs);
-  // k == -1
-  const __m512 res_m1 = _mm512_sub_ps(
-      _mm512_mul_ps(splat(0.5f), _mm512_sub_ps(x, e)), splat(0.5f));
-  const __m512i k23 = _mm512_slli_epi32(k, 23);  // k added to the exponent
-  const __m512 e_x = _mm512_sub_ps(e, x);
-  // k <= -2 or k > 56
-  const __m512 res_far = _mm512_sub_ps(
-      as_ps(_mm512_add_epi32(as_si(_mm512_sub_ps(splat(1.0f), e_x)), k23)),
-      splat(1.0f));
-  // 2 <= k < 23: t = 1 − 2^-k
-  const __m512 t_lo = as_ps(_mm512_sub_epi32(
-      splat_i(0x3f800000), _mm512_srlv_epi32(splat_i(0x1000000), k)));
-  const __m512 res_lo =
-      as_ps(_mm512_add_epi32(as_si(_mm512_sub_ps(t_lo, e_x)), k23));
-  // 23 <= k <= 56: t = 2^-k
-  const __m512 t_hi =
-      as_ps(_mm512_slli_epi32(_mm512_sub_epi32(splat_i(0x7f), k), 23));
-  const __m512 y_hi = _mm512_add_ps(
-      _mm512_sub_ps(x, _mm512_add_ps(e, t_hi)), splat(1.0f));
-  const __m512 res_hi = as_ps(_mm512_add_epi32(as_si(y_hi), k23));
-
-  __m512 res = res_hi;
-  res = _mm512_mask_blend_ps(_mm512_cmplt_epi32_mask(k, splat_i(23)), res,
-                             res_lo);
-  res = _mm512_mask_blend_ps(
-      _mm512_cmplt_epi32_mask(k, splat_i(-1)) |
-          _mm512_cmpgt_epi32_mask(k, splat_i(56)),
-      res, res_far);
-  res = _mm512_mask_blend_ps(_mm512_cmpeq_epi32_mask(k, splat_i(-1)), res,
-                             res_m1);
-  res = _mm512_mask_blend_ps(_mm512_cmpeq_epi32_mask(k, splat_i(0)), res,
-                             res0);
-  // |a| < 2^-25: a itself.
-  return _mm512_mask_blend_ps(_mm512_cmplt_epi32_mask(ha, splat_i(0x33000000)),
-                              res, a);
-}
-
-__m512 tanh_avx512(__m512 v) {
-  const __m512i ix = _mm512_and_si512(as_si(v), splat_i(0x7fffffff));
-  const __m512i sign = _mm512_andnot_si512(splat_i(0x7fffffff), as_si(v));
-  const __m512 ax = as_ps(ix);
-  const __mmask16 big = _mm512_cmpgt_epi32_mask(ix, splat_i(0x3f7fffff));
-  // |x| >= 1: expm1(2|x|), 1 − 2/(t + 2); else expm1(−2|x|), −t/(t + 2).
-  const __m512 a = _mm512_mask_blend_ps(
-      big, _mm512_mul_ps(splat(-2.0f), ax), _mm512_mul_ps(splat(2.0f), ax));
-  const __m512 t = expm1_tanh_arg_avx512(a);
-  // One division per lane: q = 2/(t + 2) or −t/(t + 2).
-  const __m512 q = _mm512_div_ps(
-      _mm512_mask_blend_ps(
-          big, as_ps(_mm512_xor_si512(as_si(t), splat_i(INT32_MIN))),
-          splat(2.0f)),
-      _mm512_add_ps(t, splat(2.0f)));
-  __m512 z = _mm512_mask_blend_ps(big, q, _mm512_sub_ps(splat(1.0f), q));
-  // |x| >= 22 (and ±inf): ±1.
-  z = _mm512_mask_blend_ps(_mm512_cmpgt_epi32_mask(ix, splat_i(0x41afffff)),
-                           z, splat(1.0f));
-  // z >= +0 here, so the sign of x goes on with an or.
-  __m512 res = as_ps(_mm512_or_si512(as_si(z), sign));
-  // |x| < 2^-55 (and ±0): x·(1 + x).
-  res = _mm512_mask_blend_ps(
-      _mm512_cmplt_epi32_mask(ix, splat_i(0x24000000)), res,
-      _mm512_mul_ps(v, _mm512_add_ps(splat(1.0f), v)));
-  // NaN: the quieted input, as 1/x ± 1 returns it.
-  return _mm512_mask_blend_ps(_mm512_cmpgt_epi32_mask(ix, splat_i(0x7f800000)),
-                              res, _mm512_add_ps(v, v));
-}
-
-/// expf_port's main path in 8 double lanes.
-__m256 exp_main_avx512(__m256 xf) {
-  using namespace port;
-  const __m512d xd = _mm512_cvtps_pd(xf);
-  const __m512d inv = _mm512_set1_pd(kInvLn2N);
-  const __m512d shift = _mm512_set1_pd(kShift);
-  const __m512d kd_shifted = _mm512_fmadd_pd(inv, xd, shift);
-  const __m512i ki = _mm512_castpd_si512(kd_shifted);
-  const __m512d kd = _mm512_sub_pd(kd_shifted, shift);
-  const __m512d r = _mm512_fmsub_pd(inv, xd, kd);
-  // kExpTable[ki % 32]: two 16-entry permutes, picked by bit 4 of ki.
-  const __m512i t0 = _mm512_load_si512(kExpTable);
-  const __m512i t1 = _mm512_load_si512(kExpTable + 8);
-  const __m512i t2 = _mm512_load_si512(kExpTable + 16);
-  const __m512i t3 = _mm512_load_si512(kExpTable + 24);
-  const __m512i lo16 = _mm512_permutex2var_epi64(t0, ki, t1);
-  const __m512i hi16 = _mm512_permutex2var_epi64(t2, ki, t3);
-  const __m512i tab = _mm512_mask_blend_epi64(
-      _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16)), lo16, hi16);
-  const __m512d s = _mm512_castsi512_pd(_mm512_add_epi64(
-      tab, _mm512_slli_epi64(ki, 52 - kExpTableBits)));
-  const __m512d z = _mm512_fmadd_pd(_mm512_set1_pd(kC0), r,
-                                    _mm512_set1_pd(kC1));
-  const __m512d r2 = _mm512_mul_pd(r, r);
-  __m512d y = _mm512_fmadd_pd(_mm512_set1_pd(kC2), r, _mm512_set1_pd(1.0));
-  y = _mm512_fmadd_pd(z, r2, y);
-  y = _mm512_mul_pd(y, s);
-  return _mm512_cvtpd_ps(y);
-}
-
-__m512 exp_avx512(__m512 x) {
-  using namespace port;
-  const __m512 lo = _mm512_castps256_ps512(exp_main_avx512(
-      _mm512_castps512_ps256(x)));
-  const __m256 hi = exp_main_avx512(_mm256_castpd_ps(
-      _mm512_extractf64x4_pd(_mm512_castps_pd(x), 1)));
-  __m512 res = _mm512_castpd_ps(_mm512_insertf64x4(
-      _mm512_castps_pd(lo), _mm256_castps_pd(hi), 1));
-  // |x| >= 88 and NaN, in the port's order of tests.
-  res = _mm512_mask_blend_ps(
-      _mm512_cmp_ps_mask(x, splat(kExpOverflow), _CMP_GT_OQ), res,
-      splat(__builtin_huge_valf()));
-  res = _mm512_mask_blend_ps(
-      _mm512_cmp_ps_mask(x, splat(kExpTiny), _CMP_LT_OQ), res,
-      splat(0x1p-149f));
-  res = _mm512_mask_blend_ps(
-      _mm512_cmp_ps_mask(x, splat(kExpUnderflow), _CMP_LT_OQ), res,
-      _mm512_setzero_ps());
-  return _mm512_mask_blend_ps(_mm512_cmp_ps_mask(x, x, _CMP_UNORD_Q), res,
-                              _mm512_add_ps(x, x));
-}
-
-__mmask16 tail_mask(std::size_t n) {
-  return static_cast<__mmask16>((1u << n) - 1u);
-}
-
-void tanh_avx512_rows(const float* in, std::size_t n, float* out) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16)
-    _mm512_storeu_ps(out + i, tanh_avx512(_mm512_loadu_ps(in + i)));
-  if (i < n) {
-    const __mmask16 m = tail_mask(n - i);
-    _mm512_mask_storeu_ps(out + i, m,
-                          tanh_avx512(_mm512_maskz_loadu_ps(m, in + i)));
+  static __m512i raw(I v) { return __m512i(v); }
+  static __m512i raw(L v) { return __m512i(v); }
+  static F splat(float v) { return _mm512_set1_ps(v); }
+  static I splat_i(std::int32_t v) { return I(_mm512_set1_epi32(v)); }
+  static F as_f(I v) { return F(v); }
+  static I as_i(F v) { return I(v); }
+  static D as_d(L v) { return _mm512_castsi512_pd(raw(v)); }
+  static L as_l(D v) { return L(_mm512_castpd_si512(v)); }
+  static M lt(I a, I b) { return _mm512_cmplt_epi32_mask(raw(a), raw(b)); }
+  static M gt(I a, I b) { return _mm512_cmpgt_epi32_mask(raw(a), raw(b)); }
+  static M eq(I a, I b) { return _mm512_cmpeq_epi32_mask(raw(a), raw(b)); }
+  static M flt(F a, F b) { return _mm512_cmp_ps_mask(a, b, _CMP_LT_OQ); }
+  static M fgt(F a, F b) { return _mm512_cmp_ps_mask(a, b, _CMP_GT_OQ); }
+  static M unord(F a) { return _mm512_cmp_ps_mask(a, a, _CMP_UNORD_Q); }
+  static F select(M m, F a, F b) { return _mm512_mask_blend_ps(m, a, b); }
+  static I select_i(M m, I a, I b) {
+    return I(_mm512_mask_blend_epi32(m, raw(a), raw(b)));
   }
-}
-
-void exp_shift_avx512(const float* in, float shift, std::size_t n,
-                      float* out) {
-  const __m512 sh = splat(shift);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16)
-    _mm512_storeu_ps(out + i,
-                     exp_avx512(_mm512_sub_ps(_mm512_loadu_ps(in + i), sh)));
-  if (i < n) {
-    const __mmask16 m = tail_mask(n - i);
-    _mm512_mask_storeu_ps(
-        out + i, m,
-        exp_avx512(_mm512_sub_ps(_mm512_maskz_loadu_ps(m, in + i), sh)));
+  static I cvtt(F v) { return I(_mm512_cvttps_epi32(v)); }
+  static F cvt(I v) { return _mm512_cvtepi32_ps(raw(v)); }
+  static I srlv(I a, I n) {
+    return I(_mm512_srlv_epi32(raw(a), raw(n)));
   }
-}
-
-__m512 gelu_lanes_avx512(__m512 x) {
-  using port::kGeluA, port::kGeluC;
-  // kC·(x + ((A·x)·x)·x), then (0.5·x)·(1 + tanh).
-  const __m512 cube = _mm512_mul_ps(
-      _mm512_mul_ps(_mm512_mul_ps(splat(kGeluA), x), x), x);
-  const __m512 inner = _mm512_mul_ps(splat(kGeluC), _mm512_add_ps(x, cube));
-  return _mm512_mul_ps(_mm512_mul_ps(splat(0.5f), x),
-                       _mm512_add_ps(splat(1.0f), tanh_avx512(inner)));
-}
-
-void gelu_avx512(const float* in, std::size_t n, float* out) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16)
-    _mm512_storeu_ps(out + i, gelu_lanes_avx512(_mm512_loadu_ps(in + i)));
-  if (i < n) {
-    const __mmask16 m = tail_mask(n - i);
-    _mm512_mask_storeu_ps(
-        out + i, m, gelu_lanes_avx512(_mm512_maskz_loadu_ps(m, in + i)));
+  static H lo(F v) { return _mm512_castps512_ps256(v); }
+  static H hi(F v) {
+    return _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(v), 1));
   }
-}
-
-/// ga + g·gelu'(x), the scalar kernel's expression in its order.
-__m512 gelu_grad_lanes_avx512(__m512 x, __m512 g, __m512 ga) {
-  using port::kGeluA, port::kGeluC;
-  const __m512 x3 = _mm512_mul_ps(_mm512_mul_ps(x, x), x);
-  const __m512 inner = _mm512_mul_ps(
-      splat(kGeluC), _mm512_add_ps(x, _mm512_mul_ps(splat(kGeluA), x3)));
-  const __m512 t = tanh_avx512(inner);
-  const __m512 dinner = _mm512_mul_ps(
-      splat(kGeluC),
-      _mm512_add_ps(splat(1.0f),
-                    _mm512_mul_ps(_mm512_mul_ps(splat(3.0f * kGeluA), x), x)));
-  const __m512 left =
-      _mm512_mul_ps(splat(0.5f), _mm512_add_ps(splat(1.0f), t));
-  const __m512 right = _mm512_mul_ps(
-      _mm512_mul_ps(_mm512_mul_ps(splat(0.5f), x),
-                    _mm512_sub_ps(splat(1.0f), _mm512_mul_ps(t, t))),
-      dinner);
-  return _mm512_add_ps(ga, _mm512_mul_ps(g, _mm512_add_ps(left, right)));
-}
-
-void gelu_backward_avx512(const float* x, const float* g, std::size_t n,
-                          float* ga) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16)
-    _mm512_storeu_ps(ga + i, gelu_grad_lanes_avx512(_mm512_loadu_ps(x + i),
-                                                    _mm512_loadu_ps(g + i),
-                                                    _mm512_loadu_ps(ga + i)));
-  if (i < n) {
-    const __mmask16 m = tail_mask(n - i);
-    _mm512_mask_storeu_ps(
-        ga + i, m,
-        gelu_grad_lanes_avx512(_mm512_maskz_loadu_ps(m, x + i),
-                               _mm512_maskz_loadu_ps(m, g + i),
-                               _mm512_maskz_loadu_ps(m, ga + i)));
+  static F join(H lo, H hi) {
+    return _mm512_castpd_ps(
+        _mm512_insertf64x4(_mm512_castps_pd(_mm512_castps256_ps512(lo)),
+                           _mm256_castps_pd(hi), 1));
   }
-}
+  static D widen(H v) { return _mm512_cvtps_pd(v); }
+  static H narrow(D v) { return _mm512_cvtpd_ps(v); }
+  static L exp_table(L ki) {
+    // kExpTable[ki % 32]: two 16-entry permutes, picked by bit 4 of ki.
+    const __m512i idx = raw(ki);
+    const __m512i t0 = _mm512_load_si512(port::kExpTable);
+    const __m512i t1 = _mm512_load_si512(port::kExpTable + 8);
+    const __m512i t2 = _mm512_load_si512(port::kExpTable + 16);
+    const __m512i t3 = _mm512_load_si512(port::kExpTable + 24);
+    return L(_mm512_mask_blend_epi64(
+        _mm512_test_epi64_mask(idx, _mm512_set1_epi64(16)),
+        _mm512_permutex2var_epi64(t0, idx, t1),
+        _mm512_permutex2var_epi64(t2, idx, t3)));
+  }
+  static F load(const float* p) { return _mm512_loadu_ps(p); }
+  static void store(float* p, F v) { _mm512_storeu_ps(p, v); }
+  static Tail tail(std::size_t n) {
+    return static_cast<__mmask16>((1u << n) - 1u);
+  }
+  static F load_tail(Tail m, const float* p) {
+    return _mm512_maskz_loadu_ps(m, p);
+  }
+  static void store_tail(Tail m, float* p, F v) {
+    _mm512_mask_storeu_ps(p, m, v);
+  }
+};
 
 }  // namespace
 
@@ -402,10 +218,10 @@ const KernelTable kAvx512Table = {
     gemm_rows_avx512,
     weighted_sum_avx512,
     weighted_sum_acc_avx512,
-    tanh_avx512_rows,
-    exp_shift_avx512,
-    gelu_avx512,
-    gelu_backward_avx512,
+    tanh_rows<Avx512>,
+    exp_shift_rows<Avx512>,
+    gelu_rows<Avx512>,
+    gelu_backward_rows<Avx512>,
 };
 
 }  // namespace netfm::nn::kernels

@@ -18,8 +18,7 @@ namespace netfm::nn::kernels {
 //
 // Line-for-line ports of the C sources, kept in their shape so a reader can
 // hold them against fdlibm / glibc. Every float operation is a separate
-// IEEE operation (the build sets -ffp-contract=off); the only fused
-// multiply-adds are the explicit std::fma calls in expf_port.
+// IEEE operation (the build sets -ffp-contract=off), fused nowhere.
 
 namespace {
 
@@ -148,18 +147,20 @@ float expf_port(float x) noexcept {
     if (x < kExpTiny) return 0x1p-149f;
   }
   // x·N/ln2 = k + r with r in [-1/2, 1/2] and integer k.
-  const double kd_shifted = std::fma(kInvLn2N, xd, kShift);
+  const double kd_shifted = kInvLn2N * xd + kShift;
   const std::uint64_t ki = std::bit_cast<std::uint64_t>(kd_shifted);
   const double kd = kd_shifted - kShift;
-  const double r = std::fma(kInvLn2N, xd, -kd);
+  // glibc's fma(N/ln2, x, −kd), rounded once: x·hi and x·lo are exact, and
+  // so is x·hi − kd (|x·hi − kd| < 1 and x·hi has at most 49 bits).
+  const double r = (kInvLn2NHi * xd - kd) + kInvLn2NLo * xd;
   // exp(x) = 2^(k/N) · 2^(r/N) ~= s · (C0·r³ + C1·r² + C2·r + 1)
   const std::uint64_t t =
       kExpTable[ki % 32] + (ki << (52 - kExpTableBits));
   const double s = std::bit_cast<double>(t);
-  const double z = std::fma(kC0, r, kC1);
+  const double z = kC0 * r + kC1;
   const double r2 = r * r;
-  double y = std::fma(kC2, r, 1.0);
-  y = std::fma(z, r2, y);
+  double y = kC2 * r + 1.0;
+  y = z * r2 + y;
   y = y * s;
   return static_cast<float>(y);
 }

@@ -5,17 +5,21 @@
 //   tanhf_port — fdlibm tanhf over fdlibm expm1f (the 5-term rational
 //                expm1), as glibc 2.36 builds them for x86-64.
 //   expf_port  — glibc 2.36's table-driven expf (32-entry 2^(i/32) table,
-//                cubic polynomial in double) as it runs on FMA hardware:
-//                the x86-64 FMA build contracts the reduction
-//                kd = round(x·N/ln2), r = x·N/ln2 − kd and the polynomial
-//                into fused multiply-adds, and the port spells out the same
-//                std::fma calls. Without the fused r the port misses libm at
-//                2 of the 2^32 inputs.
+//                cubic polynomial in double) as it runs on FMA hardware.
+//                That build rounds r = x·N/ln2 − kd once, with a fused
+//                multiply-add, and unfused r misses it at 2 of the 2^32
+//                inputs. The port gets the same r without FMA: N/ln2 is
+//                split into a head and a tail whose products with any float
+//                are exact, so r = (x·hi − kd) + x·lo rounds once. kd and
+//                the cubic run unfused; the float result still equals the
+//                FMA build's on every input.
 //
 // Each port equals std::tanh / std::exp on all 2^32 float inputs on a
 // glibc 2.36 x86-64 host with FMA (bench/sweep_transcendentals checks it),
-// NaN payloads included. The SIMD backends run the same operation
-// sequence lane by lane; the constants below are shared with them.
+// NaN payloads included. Neither port fuses anything, so every backend
+// runs it with separate IEEE operations. The SIMD backends run the same
+// operation sequence lane by lane (simd_transcendentals.h); the constants
+// below are shared with them.
 #pragma once
 
 #include <cstddef>
@@ -51,6 +55,11 @@ inline constexpr float kQ5 = -2.0109921195e-07f;     // 0xb457edbb
 // expf: N = 32 table entries.
 inline constexpr int kExpTableBits = 5;
 inline constexpr double kInvLn2N = 0x1.71547652b82fep+0 * 32;
+/// kInvLn2N = kInvLn2NHi + kInvLn2NLo, with 25 and 26 significant bits: the
+/// product of either with a float (24 bits) is exact in double.
+inline constexpr double kInvLn2NHi = 0x1.715476p+5;
+inline constexpr double kInvLn2NLo = 0x1.4ae0bf8p-21;
+static_assert(kInvLn2NHi + kInvLn2NLo == kInvLn2N);
 inline constexpr double kShift = 0x1.8p+52;
 inline constexpr double kC0 = 0x1.c6af84b912394p-5 / 32 / 32 / 32;
 inline constexpr double kC1 = 0x1.ebfce50fac4f3p-3 / 32 / 32;

@@ -7,6 +7,11 @@
 // backend because every backend is bitwise equal to the scalar oracle.
 // A change that moves one bit anywhere on these routes fails here, with the
 // new value printed next to the pinned one.
+//
+// Float tanh and exp come from the in-repo ports, not libm. The routes still
+// call the host libm elsewhere: logf in log_softmax and cross_entropy, powf
+// in Adam, the double exp and log in TrafficLM::score and sample. On a host
+// whose libm rounds those differently these values can move.
 #include <gtest/gtest.h>
 
 #include <bit>

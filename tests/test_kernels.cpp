@@ -551,6 +551,11 @@ TEST(KernelTranscendental, PortSpecialValues) {
   EXPECT_EQ(expf_port(-104.0f), 0.0f);
   EXPECT_EQ(expf_port(-103.5f), 0x1p-149f);
   EXPECT_TRUE(std::isnan(expf_port(std::numeric_limits<float>::quiet_NaN())));
+  // The FMA build's results at the two inputs where a reduction r rounded
+  // twice (x·N/ln2 rounded, then − kd) changes the float: the split product
+  // must round r once.
+  EXPECT_EQ(bits(expf_port(0x1.04845ep+5f)), bits(0x1.f93e38p+46f));
+  EXPECT_EQ(bits(expf_port(-0x1.f8cbb2p+5f)), bits(0x1.f45326p-92f));
   // Within 1 ulp of the double-precision functions on ordinary inputs.
   for (float x : {-20.5f, -3.25f, -0.75f, -0.01f, 0.3f, 1.5f, 9.0f, 40.0f}) {
     EXPECT_NEAR(expf_port(x), std::exp(static_cast<double>(x)),
